@@ -189,7 +189,8 @@ def reference_price(rho: float, model: MarketModel, spec: OptionSpec) -> float:
 
 
 def _check_two_asset(model: MarketModel, spec: OptionSpec) -> None:
-    if model.d != 2 or len(model.regimes) != 1:
+    # MarketModel broadcasts a single regime to every step as the same object
+    if model.d != 2 or any(r is not model.regimes[0] for r in model.regimes):
         raise ValueError("reference_price expects a two-asset single-regime model")
     regime = model.regimes[0]
     if any(u is not None for u in regime.upper):

@@ -38,6 +38,10 @@ __all__ = [
 # [_U_EPS, 1 - _U_EPS]: xi^-1(0) is an infinite extremum.
 _U_EPS = 1e-16
 
+# Normals per block of oracle trials (2 MB): one block's draws and the paths
+# built from them stay cache-sized.
+_ORACLE_BLOCK_DOUBLES = 1 << 18
+
 
 @dataclass(frozen=True)
 class IntervalContext:
@@ -227,7 +231,6 @@ def oracle_no_hit(
     substeps: int,
     trials: int,
     seed: int | None = None,
-    block: int = 1024,
 ) -> tuple[float, float]:
     """Brute-force no-hit probability from fine-grid conditioned bridges.
 
@@ -236,6 +239,12 @@ def oracle_no_hit(
     empirical joint no-hit probability with its binomial standard error.
     Test plumbing only: it monitors discretely, so its estimate is biased
     upward by O(1/sqrt(substeps)).
+
+    Trials run in blocks whose normals fill about ``_ORACLE_BLOCK_DOUBLES``
+    doubles, so memory is bounded by one block whatever ``trials`` is.  The
+    normals are one ``default_rng(seed)`` stream read in (trial, substep,
+    asset) order, so the draws, and the estimate, are the same for any
+    block size.  Only the assets that carry a barrier are built into paths.
     """
     if substeps < 100:
         raise ValueError(f"substeps must be >= 100, got {substeps}")
@@ -251,30 +260,41 @@ def oracle_no_hit(
     factor = factor_correlation(regime.corr)
     x0 = np.log(ctx.s0)
     x1 = np.log(ctx.s1)
-    frac = np.linspace(0.0, 1.0, substeps + 1)
-    base = x0[None, :] + frac[:, None] * (x1 - x0)[None, :]  # (substeps+1, d)
+    # (side, log level) of each barrier, keyed by the asset that carries it
+    barriers: dict[int, list[tuple[str, float]]] = {}
+    for k, side, level in events:
+        b = math.log(level) if level > 0 else -math.inf
+        if not (x0[k] > b if side == "lower" else x0[k] < b):
+            return 0.0, 0.0  # every path starts at x0, so every trial hits
+        barriers.setdefault(k, []).append((side, b))
+    frac = np.linspace(0.0, 1.0, substeps + 1)[1:]  # grid points after t = 0
+    lines = {k: x0[k] + frac * (x1[k] - x0[k]) for k in barriers}
     scale = regime.sigma * math.sqrt(ctx.dt / substeps)
-    log_levels = [(k, side, math.log(level) if level > 0 else -math.inf) for k, side, level in events]
 
+    block = max(1, _ORACLE_BLOCK_DOUBLES // (substeps * d))
+    z_block = np.empty((block, substeps, d))
+    path_block = np.empty((block, substeps))
+    pin_block = np.empty((block, substeps))
     rng = np.random.default_rng(seed)
     survivors = 0
-    done = 0
-    while done < trials:
+    for done in range(0, trials, block):
         n = min(block, trials - done)
-        z = rng.standard_normal((n, substeps, d))
-        incr = (z @ factor.T) * scale  # correlated unit-bridge increments
-        w = np.cumsum(incr, axis=1)
-        bridge = np.concatenate([np.zeros((n, 1, d)), w], axis=1)
-        bridge -= frac[None, :, None] * w[:, -1:, :]
-        paths = base[None, :, :] + bridge
+        z = rng.standard_normal(out=z_block[:n])
+        path, pin = path_block[:n], pin_block[:n]
         alive = np.ones(n, dtype=bool)
-        for k, side, b in log_levels:
-            if side == "lower":
-                alive &= paths[:, :, k].min(axis=1) > b
-            else:
-                alive &= paths[:, :, k].max(axis=1) < b
+        for k, sides in barriers.items():
+            np.matmul(z, factor[k], out=path)  # asset k's correlated increments
+            path *= scale[k]
+            np.cumsum(path, axis=1, out=path)
+            np.multiply(frac, path[:, -1:], out=pin)
+            path -= pin  # pin the walk's end to 0: a Brownian bridge
+            path += lines[k]
+            for side, b in sides:
+                if side == "lower":
+                    alive &= path.min(axis=1) > b
+                else:
+                    alive &= path.max(axis=1) < b
         survivors += int(alive.sum())
-        done += n
     p = survivors / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return p, se

@@ -13,6 +13,7 @@ structurally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -267,13 +268,19 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
 
     if len(dates) < 2:
         report.violations.append("time grid needs at least one step")
+    if not np.all(np.isfinite(dates)):
+        report.violations.append("grid dates must be finite")
     if dates[0] != 0.0:
         report.violations.append(f"grid must start at 0, got {dates[0]}")
     if np.any(np.diff(dates) <= 0.0):
         report.violations.append("grid dates must be strictly increasing")
 
+    if not np.all(np.isfinite(model.spot)):
+        report.violations.append("spots must be finite")
     if np.any(model.spot <= 0.0):
         report.violations.append("spots must be strictly positive")
+    if not math.isfinite(model.rate):
+        report.violations.append("rate must be finite")
     if len(model.regimes) != model.grid.n_steps:
         report.violations.append(
             f"expected {model.grid.n_steps} regimes, got {len(model.regimes)}"
@@ -284,11 +291,18 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
         if regime.d != d or len(regime.mu) != d:
             report.violations.append(f"{label}: parameter length does not match {d} assets")
             continue
+        if not np.all(np.isfinite(regime.mu)):
+            report.violations.append(f"{label}: mu must be finite")
+        if not np.all(np.isfinite(regime.sigma)):
+            report.violations.append(f"{label}: sigma must be finite")
         if np.any(regime.sigma <= 0.0):
             report.violations.append(f"{label}: sigma must be strictly positive")
         c = regime.corr
         if c.shape != (d, d):
             report.violations.append(f"{label}: correlation must be {d}x{d}")
+            continue
+        if not np.all(np.isfinite(c)):
+            report.violations.append(f"{label}: correlation entries must be finite")
             continue
         if not np.allclose(c, c.T, atol=1e-12):
             report.violations.append(f"{label}: correlation is not symmetric")
@@ -305,6 +319,11 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
         model.regime_factor(m)  # populate the factor cache
         for k in range(d):
             lo, hi = regime.lower[k], regime.upper[k]
+            for side, b in (("lower", lo), ("upper", hi)):
+                if b is not None and not math.isfinite(b):
+                    report.violations.append(
+                        f"{label}: {side} barrier on asset {k} must be finite"
+                    )
             if lo is not None and lo < 0.0:
                 report.violations.append(f"{label}: lower barrier on asset {k} is negative")
             if hi is not None and hi <= 0.0:
@@ -321,7 +340,11 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
         if first.d == d:
             for k in range(d):
                 s = float(model.spot[k])
-                lo, hi = first.lower[k], first.upper[k]
+                # a non-finite barrier is reported above, not taken as crossed
+                lo, hi = (
+                    b if b is not None and math.isfinite(b) else None
+                    for b in (first.lower[k], first.upper[k])
+                )
                 if (lo is not None and s < lo) or (hi is not None and s > hi):
                     raise ModelError(
                         f"spot {s} of asset {k} lies outside the regime-0 barriers"
@@ -338,8 +361,12 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
             report.violations.append("custom option kind requires a payoff hook")
         if spec.knock not in ("out", "in"):
             report.violations.append(f"knock must be 'out' or 'in', got {spec.knock!r}")
+        if not math.isfinite(spec.strike):
+            report.violations.append("strike must be finite")
         if spec.strike < 0.0:
             report.violations.append("strike must be >= 0")
+        if not math.isfinite(spec.rebate):
+            report.violations.append("rebate must be finite")
         if spec.rebate < 0.0:
             report.violations.append("rebate must be >= 0")
         if not 0 <= spec.asset < d:

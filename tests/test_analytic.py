@@ -23,7 +23,7 @@ from bridgebound.analytic import (
     vanilla_call,
 )
 from bridgebound.estimators import price
-from bridgebound.model import OptionSpec, load_config
+from bridgebound.model import MarketModel, OptionSpec, Regime, load_config
 
 
 def pde_down_and_out(spot, strike, h, sigma, r, t, nx=1200, nt=800):
@@ -200,6 +200,12 @@ class TestReferencePrice:
         assert value == pytest.approx(doc * surv, rel=1e-12)
         assert math.isclose(value, 3.649, abs_tol=5e-4)
 
+    def test_single_regime_broadcast_to_every_step(self):
+        """The continuous price does not depend on the monitoring grid."""
+        value = reference_price(0.0, *load_config("table3_rho0", steps=2))
+        assert value == reference_price(0.0, *load_config("table3_rho0"))
+        assert math.isclose(value, 3.6494, abs_tol=5e-5)
+
     def test_perfect_correlation_collapses_to_one_driver(self):
         model, spec = load_config("table3_rho1")
         value = reference_price(1.0, model, spec)
@@ -236,6 +242,14 @@ class TestReferencePrice:
         model, spec = load_config("table1a")
         with pytest.raises(ValueError, match="two-asset"):
             reference_price(0.0, model, spec)
+        pair, spec = load_config("table3_rho0", steps=2)
+        first = pair.regimes[0]
+        calmer = Regime(mu=first.mu, sigma=[0.2, 0.2], corr=first.corr, lower=first.lower)
+        two_regimes = MarketModel(
+            spot=pair.spot, rate=pair.rate, grid=pair.grid, regimes=(first, calmer)
+        )
+        with pytest.raises(ValueError, match="single-regime"):
+            reference_price(0.0, two_regimes, spec)
 
     def test_upper_barriers_rejected(self):
         model, spec = load_config("table2")
@@ -245,8 +259,6 @@ class TestReferencePrice:
     def test_unequal_volatility_rejected_at_unit_correlation(self):
         model, spec = load_config("table3_rho1")
         cfg_regime = model.regimes[0]
-        from bridgebound.model import MarketModel, Regime
-
         lopsided = Regime(
             mu=cfg_regime.mu, sigma=[0.3, 0.4], corr=cfg_regime.corr,
             lower=cfg_regime.lower,

@@ -24,7 +24,7 @@ from bridgebound.bridge import (
     sample_extremum,
     xi,
 )
-from bridgebound.model import Regime
+from bridgebound.model import Regime, factor_correlation
 
 # xi(100, 100, 90, sigma=0.3, dt=0.5), flat endpoints
 XI_FLAT = 0.6105649582820487
@@ -324,3 +324,68 @@ class TestOracleNoHit:
         est, se = oracle_no_hit(ctx, substeps=400, trials=20_000, seed=9)
         allowance = 2.0 / math.sqrt(400)
         assert w.p_lower - 4.0 * se <= est <= w.p_upper + 4.0 * se + allowance
+
+
+def full_path_oracle(ctx, substeps, trials, seed):
+    """Reference oracle: every trial's whole (substeps+1, d) path at once."""
+    regime = ctx.regime
+    d = regime.d
+    factor = factor_correlation(regime.corr)
+    x0, x1 = np.log(ctx.s0), np.log(ctx.s1)
+    frac = np.linspace(0.0, 1.0, substeps + 1)
+    base = x0[None, :] + frac[:, None] * (x1 - x0)[None, :]
+    scale = regime.sigma * math.sqrt(ctx.dt / substeps)
+    z = np.random.default_rng(seed).standard_normal((trials, substeps, d))
+    w = np.cumsum((z @ factor.T) * scale, axis=1)
+    bridge = np.concatenate([np.zeros((trials, 1, d)), w], axis=1)
+    bridge -= frac[None, :, None] * w[:, -1:, :]
+    paths = base[None, :, :] + bridge
+    alive = np.ones(trials, dtype=bool)
+    for k, side, level in regime.events():
+        b = math.log(level) if level > 0 else -math.inf
+        if side == "lower":
+            alive &= paths[:, :, k].min(axis=1) > b
+        else:
+            alive &= paths[:, :, k].max(axis=1) < b
+    p = int(alive.sum()) / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)
+
+
+CORR3 = [[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]]
+
+ORACLE_CONTEXTS = {
+    "correlated d=3, asset 1 unbarred": IntervalContext(
+        s0=[100.0, 95.0, 105.0],
+        s1=[98.0, 99.0, 104.0],
+        regime=Regime(
+            mu=[0.0] * 3, sigma=[0.3, 0.2, 0.25], corr=CORR3,
+            lower=[90.0, None, 96.0], upper=[None, None, 115.0],
+        ),
+        dt=0.25,
+    ),
+    "upper barrier": one_asset_ctx(s1=104.0, lower=None, upper=112.0, sigma=0.25),
+    "both barriers on one asset": one_asset_ctx(s1=104.0, lower=90.0, upper=112.0, sigma=0.25),
+    "lower barrier at 0": IntervalContext(
+        s0=[100.0, 100.0],
+        s1=[103.0, 97.0],
+        regime=Regime(
+            mu=[0.0, 0.0], sigma=[0.3, 0.3], corr=[[1.0, 0.5], [0.5, 1.0]],
+            lower=[0.0, 92.0],
+        ),
+        dt=0.5,
+    ),
+    "endpoint on a barrier": one_asset_ctx(s1=90.0),
+    "start on a barrier": one_asset_ctx(s0=90.0),
+}
+
+
+class TestOracleEquivalence:
+    """The blocked oracle draws the reference's stream and decides every
+    trial as the full-path reference does; 10 001 trials leave a ragged
+    last block."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CONTEXTS))
+    def test_matches_full_path_reference(self, name):
+        ctx = ORACLE_CONTEXTS[name]
+        got = oracle_no_hit(ctx, substeps=100, trials=10_001, seed=11)
+        assert got == full_path_oracle(ctx, substeps=100, trials=10_001, seed=11)

@@ -117,6 +117,24 @@ class TestPriceArguments:
         with pytest.raises(ModelError, match="strike"):
             price(model, bad, 100)
 
+    def test_nan_lower_barrier_rejected(self):
+        """Used to price as 0.0 with std_error 0.0."""
+        regime = Regime(mu=[0.05], sigma=[0.3], lower=[math.nan])
+        model = MarketModel(
+            spot=[100.0], rate=0.05, grid=TimeGrid.uniform(1.0, 4), regimes=regime
+        )
+        with pytest.raises(ModelError, match="regime 0: lower barrier on asset 0 must be finite"):
+            price(model, OptionSpec(kind="call", strike=100.0), 40_000)
+
+    def test_nan_sigma_rejected(self):
+        """Used to price as a NaN mean."""
+        regime = Regime(mu=[0.05], sigma=[math.nan], lower=[90.0])
+        model = MarketModel(
+            spot=[100.0], rate=0.05, grid=TimeGrid.uniform(1.0, 4), regimes=regime
+        )
+        with pytest.raises(ModelError, match="regime 0: sigma must be finite"):
+            price(model, OptionSpec(kind="call", strike=100.0), 40_000)
+
     def test_rebate_on_knock_in_rejected(self):
         model, spec = load_config("table1a")
         ki = OptionSpec(kind=spec.kind, strike=spec.strike, knock="in", rebate=2.0)

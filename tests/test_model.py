@@ -195,6 +195,33 @@ class TestValidate:
         model = one_asset_model(sigma=0.0)
         assert any("sigma" in v for v in validate(model).violations)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_named(self, bad):
+        """NaN used to slip past every sign and range check."""
+        model = MarketModel(
+            spot=[bad, 100.0],
+            rate=bad,
+            grid=TimeGrid([0.0, 0.5, bad]),
+            regimes=(
+                Regime(mu=[0.1, bad], sigma=[bad, 0.2], lower=[bad, None], upper=[None, bad]),
+                Regime(mu=[0.1, 0.1], sigma=[0.2, 0.2], corr=[[1.0, bad], [bad, 1.0]]),
+            ),
+        )
+        violations = validate(model, OptionSpec(strike=bad, rebate=bad)).violations
+        for field in (
+            "grid dates",
+            "spots",
+            "rate",
+            "regime 0: mu",
+            "regime 0: sigma",
+            "regime 0: lower barrier on asset 0",
+            "regime 0: upper barrier on asset 1",
+            "regime 1: correlation entries",
+            "strike",
+            "rebate",
+        ):
+            assert f"{field} must be finite" in violations
+
     def test_asymmetric_correlation_flagged(self):
         corr = np.array([[1.0, 0.5], [0.4, 1.0]])
         regime = Regime(mu=[0.1, 0.1], sigma=[0.2, 0.2], corr=corr)
