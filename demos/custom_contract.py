@@ -4,12 +4,14 @@ The bundled JSON configurations cover standard benchmark setups; this
 script assembles a model in code instead: three correlated assets, a
 knock-out corridor on the first, a floor under the second, and a custom
 basket payoff.  It also shows the knock-in complement, in-out parity,
-and a rebate paid the moment a barrier is breached.
+and a rebate paid at maturity when the option knocks out.
 
 Run:  python demos/custom_contract.py
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,9 +20,7 @@ from bridgebound import (
     OptionSpec,
     Regime,
     TimeGrid,
-    knock_in_price,
     price,
-    rebate_price,
     validate,
 )
 
@@ -58,7 +58,7 @@ def main() -> None:
 
     spec = OptionSpec(kind="custom", payoff=basket_call, knock="out")
     ko = price(model, spec, N_PATHS, seed=0)
-    ki = knock_in_price(model, spec, N_PATHS, seed=0)
+    ki = price(model, replace(spec, knock="in"), N_PATHS, seed=0)
 
     print("basket call, knocked out if asset 1 leaves [90, 120]")
     print("or asset 2 falls under 90\n")
@@ -85,7 +85,7 @@ def main() -> None:
     parity = ko.q_upper.mean + ki.q_lower.mean
     print(f"\nin-out parity: {parity:.6f} = vanilla {vanilla.q_s.mean:.6f}")
 
-    with_rebate = rebate_price(model, spec, N_PATHS, rebate=5.0, seed=0)
+    with_rebate = price(model, replace(spec, rebate=5.0), N_PATHS, seed=0)
     print(
         f"with a 5.0 rebate on knock-out: {with_rebate.q_upper.mean:.4f}"
         f" (was {ko.q_upper.mean:.4f})"

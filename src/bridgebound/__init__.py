@@ -16,7 +16,6 @@ from .bridge import (
     frechet_bounds,
     independent_no_hit,
     interval_weights,
-    marginal_no_hit,
     oracle_no_hit,
     sample_extremum,
     xi,
@@ -26,12 +25,9 @@ from .estimators import (
     PointEstimate,
     PricingReport,
     confidence_interval,
-    discrete_barrier_interpolate,
-    knock_in_price,
     path_contributions,
     point_estimators,
     price,
-    rebate_price,
 )
 from .harness import (
     ConvergenceFit,
@@ -54,7 +50,7 @@ from .model import (
     load_config,
     validate,
 )
-from .simulate import CHUNK, PathBatch, PathState, path_batches, simulate_path, step
+from .simulate import CHUNK, PathBatch, PathState, path_batches, simulate_path
 
 __all__ = [
     "BridgeWeights",
@@ -76,27 +72,22 @@ __all__ = [
     "ValidationReport",
     "config_path",
     "confidence_interval",
-    "discrete_barrier_interpolate",
     "factor_correlation",
     "fit_convergence",
     "fit_from_csv",
     "frechet_bounds",
     "independent_no_hit",
     "interval_weights",
-    "knock_in_price",
     "load_config",
-    "marginal_no_hit",
     "oracle_no_hit",
     "path_batches",
     "path_contributions",
     "point_estimators",
     "price",
-    "rebate_price",
     "reproduce_table",
     "run_sweep",
     "sample_extremum",
     "simulate_path",
-    "step",
     "validate",
     "xi",
 ]

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +28,6 @@ __all__ = [
     "IntervalContext",
     "BridgeWeights",
     "xi",
-    "marginal_no_hit",
     "frechet_bounds",
     "independent_no_hit",
     "interval_weights",
@@ -114,34 +115,6 @@ def xi(s0: float, s1: float, barrier: float, sigma: float, dt: float, side: str 
     return float(value)
 
 
-def marginal_no_hit(ctx: IntervalContext, asset: int):
-    """No-hit probability of one asset's barrier(s) within the interval.
-
-    One active barrier gives the exact float ``1 - xi``.  Two barriers give
-    the pair ``(1 - xi(lower), 1 - xi(upper))`` for downstream bound
-    assembly; their exact joint is deliberately out of scope.
-
-    Raises
-    ------
-    ValueError
-        If the asset has no active barrier in this regime.
-    """
-    regime = ctx.regime
-    lo, hi = regime.lower[asset], regime.upper[asset]
-    if lo is None and hi is None:
-        raise ValueError(f"asset {asset} has no active barrier in this regime")
-    s0, s1 = float(ctx.s0[asset]), float(ctx.s1[asset])
-    sigma = float(regime.sigma[asset])
-    if lo is not None and hi is not None:
-        return (
-            1.0 - xi(s0, s1, lo, sigma, ctx.dt, side="lower"),
-            1.0 - xi(s0, s1, hi, sigma, ctx.dt, side="upper"),
-        )
-    if lo is not None:
-        return 1.0 - xi(s0, s1, lo, sigma, ctx.dt, side="lower")
-    return 1.0 - xi(s0, s1, hi, sigma, ctx.dt, side="upper")
-
-
 def frechet_bounds(hit_probs) -> tuple[float, float]:
     """Sharp bounds on the joint no-hit probability given event marginals.
 
@@ -169,6 +142,45 @@ def independent_no_hit(hit_probs) -> float:
     return out
 
 
+def _active_events(regime: Regime) -> tuple[tuple[int, str, float], ...]:
+    """The regime's barrier events that can be hit, in canonical order.
+
+    A lower barrier at 0 is never hit by positive prices, so it is dropped;
+    the engine, the interval weights and the oracle all see the same events.
+    """
+    return tuple(ev for ev in regime.events() if not (ev[1] == "lower" and ev[2] == 0.0))
+
+
+def _combine(xis: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint no-hit ``(p_lower, p_indep, p_upper)`` from per-event hit probabilities.
+
+    ``xis`` yields one array per event, at least one, all of one shape.  It is
+    read once, in order, so a generator keeps few events' arrays alive at a
+    time.  One event gives the exact ``1 - xi`` three times; several give the
+    Frechet bounds and the independence product, elementwise.
+    """
+    xis = iter(xis)
+    first = next(xis)
+    second = next(xis, None)
+    if second is None:
+        p = 1.0 - first
+        return p, p, p
+    sum_xi = np.zeros_like(first)
+    prod = np.ones_like(first)
+    least = np.ones_like(first)
+    for x in chain((first, second), xis):
+        sum_xi += x
+        no_hit = 1.0 - x
+        prod *= no_hit
+        np.fmin(least, no_hit, out=least)
+    # The chain p_lower <= p_indep <= p_upper holds mathematically; fmin
+    # only guards against last-ulp rounding inversions.
+    p_upper = least
+    p_indep = np.fmin(prod, p_upper)
+    p_lower = np.fmin(np.fmax(1.0 - sum_xi, 0.0), p_indep)
+    return p_lower, p_indep, p_upper
+
+
 def interval_weights(ctx: IntervalContext) -> BridgeWeights:
     """Assemble the no-hit bounds and independence product for one interval.
 
@@ -176,31 +188,16 @@ def interval_weights(ctx: IntervalContext) -> BridgeWeights:
     barriers contributes two events) in canonical order; with at most one
     event the exact probability is available and all fields coincide.
     """
-    events = ctx.regime.events()
+    events = _active_events(ctx.regime)
     if not events:
         return BridgeWeights(1.0, 1.0, 1.0, 1.0)
-    xis = []
-    for k, side, level in events:
-        xis.append(
-            xi(
-                float(ctx.s0[k]),
-                float(ctx.s1[k]),
-                level,
-                float(ctx.regime.sigma[k]),
-                ctx.dt,
-                side=side,
-            )
-        )
-    if len(xis) == 1:
-        p = 1.0 - xis[0]
-        return BridgeWeights(p, p, p, p)
-    p_lower, p_upper = frechet_bounds(xis)
-    p_indep = independent_no_hit(xis)
-    # The chain p_lower <= p_indep <= p_upper holds mathematically; the
-    # clamps only guard against last-ulp rounding inversions.
-    p_indep = min(p_indep, p_upper)
-    p_lower = min(p_lower, p_indep)
-    return BridgeWeights(p_lower, p_indep, p_upper, None)
+    sigma = ctx.regime.sigma
+    xis = [
+        np.array([xi(float(ctx.s0[k]), float(ctx.s1[k]), level, float(sigma[k]), ctx.dt, side)])
+        for k, side, level in events
+    ]
+    p_lower, p_indep, p_upper = (float(p[0]) for p in _combine(xis))
+    return BridgeWeights(p_lower, p_indep, p_upper, p_upper if len(events) == 1 else None)
 
 
 def sample_extremum(s0, s1, sigma: float, dt: float, u, which: str):
@@ -251,7 +248,7 @@ def oracle_no_hit(
     if trials < 10_000:
         raise ValueError(f"trials must be >= 10000, got {trials}")
     regime = ctx.regime
-    events = regime.events()
+    events = _active_events(regime)
     if not events:
         return 1.0, 0.0
     from .model import factor_correlation  # deferred to avoid cycle at import time
@@ -263,7 +260,7 @@ def oracle_no_hit(
     # (side, log level) of each barrier, keyed by the asset that carries it
     barriers: dict[int, list[tuple[str, float]]] = {}
     for k, side, level in events:
-        b = math.log(level) if level > 0 else -math.inf
+        b = math.log(level)
         if not (x0[k] > b if side == "lower" else x0[k] < b):
             return 0.0, 0.0  # every path starts at x0, so every trial hits
         barriers.setdefault(k, []).append((side, b))

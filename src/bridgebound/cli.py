@@ -21,6 +21,7 @@ from .estimators import price as price_option
 from .harness import (
     CSV_HEADER,
     SweepSpec,
+    _config_label,
     fit_from_csv,
     report_rows,
     reproduce_table,
@@ -124,7 +125,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         workers=args.workers,
     )
-    label = _label(args.config)
+    label = _config_label(args.config)
     m = model.grid.n_steps
     if args.format == "json":
         payload = {"config": label, "m": m}
@@ -148,7 +149,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         output=args.output if args.format == "csv" else None,
     )
     reports = run_sweep(spec, workers=args.workers)
-    label = _label(args.config)
+    label = _config_label(args.config)
     if args.format == "json":
         payload = {
             "config": label,
@@ -219,11 +220,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
         _emit(buf.getvalue(), args.output)
     return 0
-
-
-def _label(config: str) -> str:
-    name = config.rsplit("/", 1)[-1]
-    return name[:-5] if name.endswith(".json") else name
 
 
 if __name__ == "__main__":

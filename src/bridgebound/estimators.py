@@ -24,20 +24,21 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import MarketModel, OptionSpec, validate
-from .simulate import CHUNK, PathBatch, _compute_batch, _n_chunks, _plan
+from .simulate import PathBatch, _compute_batch, _n_chunks, _plan, path_batches
 
 __all__ = [
     "EstimatorResult",
     "PointEstimate",
     "PricingReport",
     "price",
-    "knock_in_price",
-    "rebate_price",
     "path_contributions",
     "point_estimators",
     "confidence_interval",
-    "discrete_barrier_interpolate",
 ]
+
+# The estimator table's names, in report order; q_exact is present only when
+# every interval has at most one barrier event.
+ESTIMATOR_NAMES = ("q_s", "q_lower", "q_indep", "q_upper", "q_exact", "q0", "q1", "q2")
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,18 @@ class PricingReport:
     n_paths: int
     seed: int
 
+    @property
+    def estimates(self) -> dict[str, tuple[float, float]]:
+        """The estimator table: name -> (value, std_error), in report order."""
+        table = {}
+        for name in ESTIMATOR_NAMES:
+            est = getattr(self, name)
+            if isinstance(est, EstimatorResult):
+                table[name] = (est.mean, est.std_error)
+            elif est is not None:
+                table[name] = (est.value, est.std_error)
+        return table
+
     def to_dict(self) -> dict:
         """Plain-types view of the report, for JSON output."""
         out = {
@@ -97,24 +110,11 @@ class PricingReport:
             "point_estimates": {},
             "ci": [self.ci[0], self.ci[1]],
         }
-        named = [
-            ("q_s", self.q_s),
-            ("q_lower", self.q_lower),
-            ("q_indep", self.q_indep),
-            ("q_upper", self.q_upper),
-        ]
-        if self.q_exact is not None:
-            named.append(("q_exact", self.q_exact))
-        for name, est in named:
-            out["estimators"][name] = {
-                "mean": est.mean,
-                "std_error": est.std_error,
-            }
-        for name, pt in [("q0", self.q0), ("q1", self.q1), ("q2", self.q2)]:
-            out["point_estimates"][name] = {
-                "value": pt.value,
-                "std_error": pt.std_error,
-            }
+        for name, (value, se) in self.estimates.items():
+            if isinstance(getattr(self, name), PointEstimate):
+                out["point_estimates"][name] = {"value": value, "std_error": se}
+            else:
+                out["estimators"][name] = {"mean": value, "std_error": se}
         return out
 
 
@@ -150,23 +150,6 @@ def confidence_interval(
         q_lower.mean - z * q_lower.std_error,
         q_upper.mean + z * q_upper.std_error,
     )
-
-
-def discrete_barrier_interpolate(
-    q_continuous: float, q_lowfreq: float, m_low: int, m_target: float
-) -> float:
-    """Approximate the price at ``m_target`` monitoring dates per interval.
-
-    Uses the square-root correction q(M) ~ q_continuous + lam / sqrt(M)
-    with lam calibrated from one low-frequency price at ``m_low`` dates.
-    ``m_target`` may be ``math.inf``, returning the continuous price.
-    """
-    if m_low < 1:
-        raise ValueError(f"m_low must be >= 1, got {m_low}")
-    if not m_target >= 1:
-        raise ValueError(f"m_target must be >= 1, got {m_target}")
-    lam = (q_lowfreq - q_continuous) * math.sqrt(m_low)
-    return q_continuous + lam / math.sqrt(m_target)
 
 
 # One estimator's per-path contributions, as (name, array) pairs.
@@ -225,8 +208,7 @@ def _reduce(
     n_chunks = _n_chunks(n_paths)
 
     def partials(chunk_index: int) -> dict[str, tuple[float, float]]:
-        rows = min(CHUNK, n_paths - chunk_index * CHUNK)
-        batch = _compute_batch(plan, seed, chunk_index, rows)
+        batch = _compute_batch(plan, seed, chunk_index, n_paths)
         v = discount * spec.terminal_payoff(batch.terminal)
         acc = {}
         for name, c in transform(v, batch, r_disc):
@@ -283,15 +265,6 @@ def _assemble(
     )
 
 
-def _check_run_args(n_paths: int, alpha: float, workers: int) -> None:
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def price(
     model: MarketModel,
     spec: OptionSpec,
@@ -322,7 +295,12 @@ def price(
     -------
     PricingReport
     """
-    _check_run_args(n_paths, alpha, workers)
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     validate(model, spec).raise_if_invalid()
     if spec.knock == "in":
         if spec.rebate != 0.0:
@@ -333,51 +311,6 @@ def price(
         transform = _knock_out_contribs
         r_disc = spec.rebate * math.exp(-model.rate * model.grid.maturity)
     results = _reduce(model, spec, n_paths, seed, workers, transform, r_disc)
-    return _assemble(results, alpha, n_paths, seed)
-
-
-def knock_in_price(
-    model: MarketModel,
-    spec: OptionSpec,
-    n_paths: int,
-    seed: int = 0,
-    alpha: float = 0.05,
-    workers: int = 1,
-) -> PricingReport:
-    """Price a knock-in option via path-wise in-out parity.
-
-    ``spec.knock`` may be either value; the knock-in interpretation is
-    forced.  Rebates are not supported here.
-    """
-    _check_run_args(n_paths, alpha, workers)
-    validate(model, spec).raise_if_invalid()
-    if spec.rebate != 0.0:
-        raise ValueError("rebate is only supported for knock-out options")
-    results = _reduce(model, spec, n_paths, seed, workers, _knock_in_contribs, 0.0)
-    return _assemble(results, alpha, n_paths, seed)
-
-
-def rebate_price(
-    model: MarketModel,
-    spec: OptionSpec,
-    n_paths: int,
-    rebate: float | None = None,
-    seed: int = 0,
-    alpha: float = 0.05,
-    workers: int = 1,
-) -> PricingReport:
-    """Knock-out price with a cash rebate paid at maturity on knock-out.
-
-    ``rebate`` overrides ``spec.rebate`` when given.  With a zero rebate
-    this is ``price`` exactly, bit for bit.
-    """
-    _check_run_args(n_paths, alpha, workers)
-    validate(model, spec).raise_if_invalid()
-    if spec.knock == "in":
-        raise ValueError("rebate is only supported for knock-out options")
-    r = spec.rebate if rebate is None else rebate
-    r_disc = r * math.exp(-model.rate * model.grid.maturity)
-    results = _reduce(model, spec, n_paths, seed, workers, _knock_out_contribs, r_disc)
     return _assemble(results, alpha, n_paths, seed)
 
 
@@ -396,12 +329,9 @@ def path_contributions(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     validate(model, spec).raise_if_invalid()
-    plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)
     parts: dict[str, list[np.ndarray]] = {}
-    for chunk_index in range(_n_chunks(n_paths)):
-        rows = min(CHUNK, n_paths - chunk_index * CHUNK)
-        batch = _compute_batch(plan, seed, chunk_index, rows)
+    for batch in path_batches(model, n_paths, seed):
         cols = {
             "payoff": discount * spec.terminal_payoff(batch.terminal),
             "alive": batch.alive,

@@ -17,7 +17,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .analytic import BsParams, down_and_out_call, reference_price
-from .estimators import PricingReport, price
+from .estimators import ESTIMATOR_NAMES, PricingReport, price
 from .model import load_config
 
 __all__ = [
@@ -32,19 +32,8 @@ __all__ = [
     "reproduce_table",
 ]
 
-# Row order within one M block of the CSV.
-ESTIMATOR_ORDER = (
-    "q_s",
-    "q_lower",
-    "q_indep",
-    "q_upper",
-    "q_exact",
-    "q0",
-    "q1",
-    "q2",
-    "ci_low",
-    "ci_high",
-)
+# Row order within one M block of the CSV: the estimator table, then the CI.
+ESTIMATOR_ORDER = ESTIMATOR_NAMES + ("ci_low", "ci_high")
 
 CSV_HEADER = ("config", "m", "estimator", "mean", "std_error")
 
@@ -104,24 +93,15 @@ def report_rows(
     the in-memory values exactly.
     """
     values: dict[str, tuple[float, float | None]] = {
-        "q_s": (report.q_s.mean, report.q_s.std_error),
-        "q_lower": (report.q_lower.mean, report.q_lower.std_error),
-        "q_indep": (report.q_indep.mean, report.q_indep.std_error),
-        "q_upper": (report.q_upper.mean, report.q_upper.std_error),
-        "q0": (report.q0.value, report.q0.std_error),
-        "q1": (report.q1.value, report.q1.std_error),
-        "q2": (report.q2.value, report.q2.std_error),
+        **report.estimates,
         "ci_low": (report.ci[0], None),
         "ci_high": (report.ci[1], None),
     }
-    if report.q_exact is not None:
-        values["q_exact"] = (report.q_exact.mean, report.q_exact.std_error)
     keep = set(ESTIMATOR_ORDER if selection is None else selection)
     rows = []
-    for name in ESTIMATOR_ORDER:
-        if name not in values or name not in keep:
+    for name, (mean, se) in values.items():
+        if name not in keep:
             continue
-        mean, se = values[name]
         rows.append(
             {
                 "config": label,
@@ -539,7 +519,7 @@ def reproduce_table(
             model, option = load_config(label, steps=m)
             report = price(model, option, n, seed=seed, workers=workers)
             reports[(label, m)] = report
-            named = _named_estimates(report)
+            named = report.estimates
             for est, (target, target_se) in sorted(golden[m].items()):
                 value, se = named[est]
                 checks.append(_z_check(f"{label} M={m} {est}", value, se, target, target_se))
@@ -564,21 +544,6 @@ def reproduce_table(
                         _z_check(f"{label} M={m} {est} vs continuous", value, se, exact, 0.0)
                     )
     return TableReport(table_id=table_id, checks=tuple(checks), reports=reports)
-
-
-def _named_estimates(report: PricingReport) -> dict[str, tuple[float, float]]:
-    named = {
-        "q_s": (report.q_s.mean, report.q_s.std_error),
-        "q_lower": (report.q_lower.mean, report.q_lower.std_error),
-        "q_indep": (report.q_indep.mean, report.q_indep.std_error),
-        "q_upper": (report.q_upper.mean, report.q_upper.std_error),
-        "q0": (report.q0.value, report.q0.std_error),
-        "q1": (report.q1.value, report.q1.std_error),
-        "q2": (report.q2.value, report.q2.std_error),
-    }
-    if report.q_exact is not None:
-        named["q_exact"] = (report.q_exact.mean, report.q_exact.std_error)
-    return named
 
 
 def _z_check(label: str, value: float, se: float, target: float, target_se: float) -> GoldenCheck:

@@ -177,7 +177,8 @@ class OptionSpec:
 
     ``kind`` is one of ``"call"`` (pays max[S_k(T) - K, 0]), ``"digital"``
     (pays 1 if S_k(T) > K), or ``"custom"`` with a ``payoff`` hook mapping
-    terminal prices of shape (n, d) to undiscounted payoffs of shape (n,).
+    terminal prices of shape (n, d) to finite undiscounted payoffs of shape
+    (n,); any other output raises ModelError.
     ``rebate`` is paid at maturity if the option knocks out.
     """
 
@@ -198,7 +199,14 @@ class OptionSpec:
         if self.kind == "custom":
             if self.payoff is None:
                 raise ModelError("custom option kind requires a payoff hook")
-            return np.asarray(self.payoff(prices), dtype=float)
+            out = np.asarray(self.payoff(prices), dtype=float)
+            if out.shape != (len(prices),):
+                raise ModelError(
+                    f"payoff hook must return shape ({len(prices)},), got {out.shape}"
+                )
+            if not np.all(np.isfinite(out)):
+                raise ModelError("payoff hook returned non-finite values")
+            return out
         raise ModelError(f"unknown option kind {self.kind!r}")
 
 

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .bridge import _xi_from_logs
-from .model import MarketModel, Regime
+from .bridge import _active_events, _combine, _xi_from_logs
+from .model import MarketModel
 
 __all__ = [
     "CHUNK",
-    "NormalDraw",
     "PathState",
     "PathBatch",
-    "step",
     "simulate_path",
     "path_batches",
 ]
@@ -38,9 +36,6 @@ __all__ = [
 # Paths per random stream.  Part of the reproducibility contract: changing it
 # changes which draw lands on which path.
 CHUNK = 32768
-
-# Correlated standard-normal draws for one step, shape (..., d).
-NormalDraw = np.ndarray
 
 # Generator.random can return exactly 0.0, where the inverse CDF diverges;
 # half an ulp below the smallest positive draw is statistically invisible.
@@ -80,18 +75,6 @@ class PathBatch:
     w_exact: np.ndarray | None
 
 
-def step(prev: np.ndarray, regime: Regime, dt: float, z: NormalDraw) -> np.ndarray:
-    """One simulation step: S * exp[(mu - sigma^2/2) dt + sigma sqrt(dt) z].
-
-    ``z`` carries already-correlated standard normals; shapes broadcast, so
-    ``prev`` and ``z`` may be (d,) vectors or (n, d) batches.
-    """
-    prev = np.asarray(prev, dtype=float)
-    z = np.asarray(z, dtype=float)
-    growth = (regime.mu - 0.5 * regime.sigma**2) * dt + regime.sigma * math.sqrt(dt) * z
-    return prev * np.exp(growth)
-
-
 def _stream(seed: int, chunk_index: int) -> np.random.Generator:
     """The counter-based generator owning the draws of one chunk."""
     if not 0 <= seed < 2**64:
@@ -108,7 +91,7 @@ def _normal_block(gen: np.random.Generator, d: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _EventKernel:
     asset: int
-    lower: bool
+    side: str  # "lower" or "upper"
     log_level: float
     variance: float  # sigma_k^2 * dt
 
@@ -134,18 +117,15 @@ def _plan(model: MarketModel) -> _EnginePlan:
     exact = True
     for m, regime in enumerate(model.regimes):
         dt = model.grid.dt(m)
-        events = []
-        for k, side, level in regime.events():
-            if side == "lower" and level == 0.0:
-                continue  # a zero lower barrier is never hit by positive prices
-            events.append(
-                _EventKernel(
-                    asset=k,
-                    lower=(side == "lower"),
-                    log_level=math.log(level),
-                    variance=float(regime.sigma[k]) ** 2 * dt,
-                )
+        events = [
+            _EventKernel(
+                asset=k,
+                side=side,
+                log_level=math.log(level),
+                variance=float(regime.sigma[k]) ** 2 * dt,
             )
+            for k, side, level in _active_events(regime)
+        ]
         exact = exact and len(events) <= 1
         steps.append(
             _StepKernel(
@@ -162,63 +142,56 @@ def _plan(model: MarketModel) -> _EnginePlan:
 
 def _apply_event_alive(alive: np.ndarray, x0: np.ndarray, x1: np.ndarray, ev: _EventKernel) -> None:
     # Both endpoints of the interval must sit strictly inside the barrier.
-    if ev.lower:
+    if ev.side == "lower":
         alive &= (x0[:, ev.asset] > ev.log_level) & (x1[:, ev.asset] > ev.log_level)
     else:
         alive &= (x0[:, ev.asset] < ev.log_level) & (x1[:, ev.asset] < ev.log_level)
 
 
-def _compute_batch(plan: _EnginePlan, seed: int, chunk_index: int, rows: int) -> PathBatch:
-    """Simulate one full chunk and keep the first ``rows`` paths."""
+def _walk(plan: _EnginePlan, seed: int, chunk_index: int, alive: np.ndarray):
+    """Walk one full chunk of paths: yield ``(kernel, x0, x1)`` per step.
+
+    ``x0`` and ``x1`` are the (CHUNK, d) log prices at the step's ends, in
+    two buffers that the walk reuses: read them before the next step.
+    ``alive`` (CHUNK,) is cleared in place where a path's sampled endpoints
+    touch or cross a barrier of the step.
+    """
     gen = _stream(seed, chunk_index)
     d = plan.d
     x0 = np.broadcast_to(plan.log_spot, (CHUNK, d)).copy()
+    x1 = np.empty_like(x0)
+    for kernel in plan.steps:
+        z = _normal_block(gen, d)
+        np.add(x0, kernel.drift, out=x1)
+        x1 += kernel.vol * (z @ kernel.factor.T)
+        for ev in kernel.events:
+            _apply_event_alive(alive, x0, x1, ev)
+        yield kernel, x0, x1
+        x0, x1 = x1, x0
+
+
+def _compute_batch(plan: _EnginePlan, seed: int, chunk_index: int, n_paths: int) -> PathBatch:
+    """Simulate one full chunk and keep its paths among the first ``n_paths``."""
+    rows = min(CHUNK, n_paths - chunk_index * CHUNK)
     w_lower = np.ones(CHUNK)
     w_indep = np.ones(CHUNK)
     w_upper = np.ones(CHUNK)
     alive = np.ones(CHUNK, dtype=bool)
-
-    for kernel in plan.steps:
-        z = _normal_block(gen, d)
-        x1 = x0 + kernel.drift + kernel.vol * (z @ kernel.factor.T)
-        events = kernel.events
-        if len(events) == 1:
-            ev = events[0]
-            side = "lower" if ev.lower else "upper"
-            p = 1.0 - _xi_from_logs(
-                x0[:, ev.asset], x1[:, ev.asset], ev.log_level, ev.variance, side
+    x1 = np.broadcast_to(plan.log_spot, (CHUNK, plan.d))  # a grid without steps
+    for kernel, x0, x1 in _walk(plan, seed, chunk_index, alive):
+        if kernel.events:
+            xis = (
+                _xi_from_logs(x0[:, ev.asset], x1[:, ev.asset], ev.log_level, ev.variance, ev.side)
+                for ev in kernel.events
             )
-            w_lower *= p
-            w_indep *= p
-            w_upper *= p
-            _apply_event_alive(alive, x0, x1, ev)
-        elif events:
-            sum_xi = np.zeros(CHUNK)
-            prod = np.ones(CHUNK)
-            least = np.ones(CHUNK)
-            for ev in events:
-                side = "lower" if ev.lower else "upper"
-                xi_vec = _xi_from_logs(
-                    x0[:, ev.asset], x1[:, ev.asset], ev.log_level, ev.variance, side
-                )
-                sum_xi += xi_vec
-                no_hit = 1.0 - xi_vec
-                prod *= no_hit
-                np.fmin(least, no_hit, out=least)
-                _apply_event_alive(alive, x0, x1, ev)
-            # Frechet chain p_lower <= p_indep <= p_upper; fmin only guards
-            # last-ulp rounding inversions, the math already orders them.
-            p_upper = least
-            p_indep = np.fmin(prod, p_upper)
-            p_lower = np.fmin(np.fmax(1.0 - sum_xi, 0.0), p_indep)
+            p_lower, p_indep, p_upper = _combine(xis)
             w_lower *= p_lower
             w_indep *= p_indep
             w_upper *= p_upper
-        x0 = x1
 
     return PathBatch(
         first=chunk_index * CHUNK,
-        terminal=np.exp(x0[:rows]),
+        terminal=np.exp(x1[:rows]),
         alive=alive[:rows],
         w_lower=w_lower[:rows],
         w_indep=w_indep[:rows],
@@ -231,8 +204,7 @@ def path_batches(model: MarketModel, n_paths: int, seed: int = 0):
     """Yield PathBatch chunks covering ``n_paths`` paths, in chunk order."""
     plan = _plan(model)
     for chunk_index in range(_n_chunks(n_paths)):
-        rows = min(CHUNK, n_paths - chunk_index * CHUNK)
-        yield _compute_batch(plan, seed, chunk_index, rows)
+        yield _compute_batch(plan, seed, chunk_index, n_paths)
 
 
 def _n_chunks(n_paths: int) -> int:
@@ -250,18 +222,9 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
         raise ValueError("path_index must be >= 0")
     plan = _plan(model)
     chunk_index, row = divmod(path_index, CHUNK)
-    gen = _stream(seed, chunk_index)
-    d = plan.d
-    n_steps = len(plan.steps)
-    values = np.empty((n_steps + 1, d))
+    values = np.empty((len(plan.steps) + 1, plan.d))
     values[0] = model.spot
-    x0 = np.broadcast_to(plan.log_spot, (CHUNK, d)).copy()
     alive = np.ones(CHUNK, dtype=bool)
-    for m, kernel in enumerate(plan.steps):
-        z = _normal_block(gen, d)
-        x1 = x0 + kernel.drift + kernel.vol * (z @ kernel.factor.T)
-        for ev in kernel.events:
-            _apply_event_alive(alive, x0, x1, ev)
+    for m, (_, _, x1) in enumerate(_walk(plan, seed, chunk_index, alive)):
         values[m + 1] = np.exp(x1[row])
-        x0 = x1
     return PathState(values=values, alive_discrete=bool(alive[row]), path_index=path_index)

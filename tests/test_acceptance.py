@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from bridgebound.bridge import (
     sample_extremum,
     xi,
 )
-from bridgebound.estimators import knock_in_price, path_contributions, price
+from bridgebound.estimators import path_contributions, price
 from bridgebound.harness import SweepSpec, fit_convergence, run_sweep
 from bridgebound.model import MarketModel, OptionSpec, Regime, TimeGrid, load_config
 
@@ -485,7 +486,7 @@ class TestAlgebraicInvariants:
             model, spec = load_config("table1b", steps=4)
             n = 30_000
             ko = price(model, spec, n, seed=SEED)
-            ki = knock_in_price(model, spec, n, seed=SEED)
+            ki = price(model, replace(spec, knock="in"), n, seed=SEED)
             regime = Regime(
                 mu=[0.1, 0.1], sigma=[0.3, 0.3], corr=[[1.0, 0.5], [0.5, 1.0]]
             )

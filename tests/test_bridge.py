@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from bridgebound.bridge import (
@@ -18,8 +20,8 @@ from bridgebound.bridge import (
     IntervalContext,
     frechet_bounds,
     independent_no_hit,
+    _combine,
     interval_weights,
-    marginal_no_hit,
     oracle_no_hit,
     sample_extremum,
     xi,
@@ -89,25 +91,17 @@ def one_asset_ctx(s0=100.0, s1=100.0, lower=90.0, upper=None, sigma=0.3, dt=0.5)
 
 
 class TestMarginalNoHit:
-    def test_single_lower_barrier(self):
-        assert math.isclose(marginal_no_hit(one_asset_ctx(), 0), 1.0 - XI_FLAT, rel_tol=1e-13)
+    """One barrier on one asset: the interval's exact no-hit probability."""
 
-    def test_two_barriers_return_pair(self):
-        ctx = one_asset_ctx(lower=90.0, upper=115.0)
-        lo, hi = marginal_no_hit(ctx, 0)
-        assert math.isclose(lo, 1.0 - XI_FLAT, rel_tol=1e-13)
-        assert math.isclose(hi, 1.0 - xi(100.0, 100.0, 115.0, 0.3, 0.5, "upper"), rel_tol=1e-13)
+    def test_single_lower_barrier(self):
+        p = interval_weights(one_asset_ctx()).p_exact
+        assert math.isclose(p, 1.0 - XI_FLAT, rel_tol=1e-13)
 
     def test_far_barrier_no_hit_near_one(self):
-        assert marginal_no_hit(one_asset_ctx(lower=1e-9), 0) == 1.0
+        assert interval_weights(one_asset_ctx(lower=1e-9)).p_exact == 1.0
 
     def test_endpoint_breach_gives_zero(self):
-        assert marginal_no_hit(one_asset_ctx(s1=90.0), 0) == 0.0
-
-    def test_no_barrier_raises(self):
-        ctx = one_asset_ctx(lower=None)
-        with pytest.raises(ValueError, match="no active barrier"):
-            marginal_no_hit(ctx, 0)
+        assert interval_weights(one_asset_ctx(s1=90.0)).p_exact == 0.0
 
 
 class TestFrechetBounds:
@@ -149,6 +143,29 @@ class TestIndependentNoHit:
         assert independent_no_hit([]) == 1.0
 
 
+# Hit probabilities with exact 0s and 1s and a cluster near 1e-6.
+_XI_VALUES = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.5e-6, max_value=2e-6),
+)
+
+
+class TestCombine:
+    @given(st.lists(_XI_VALUES, min_size=1, max_size=8))
+    # rounding puts 1 - sum above the product here, so the lower clamp acts
+    @example([5.663045776968643e-09, 4.97610358807474e-09])
+    def test_one_row_matches_scalar_formulas(self, xs):
+        """The vectorized combine is the clamped Frechet and product formulas."""
+        p_lower, p_indep, p_upper = (float(p[0]) for p in _combine([np.array([x]) for x in xs]))
+        lower, upper = frechet_bounds(xs)
+        indep = independent_no_hit(xs)
+        assert p_upper == upper
+        assert p_indep == min(indep, upper)
+        assert p_lower == min(lower, min(indep, upper))
+
+
 class TestIntervalWeights:
     def test_no_barriers_all_one(self):
         regime = Regime(mu=[0.1], sigma=[0.3])
@@ -183,6 +200,12 @@ class TestIntervalWeights:
         assert math.isclose(w.p_lower, lower, rel_tol=1e-13)
         assert math.isclose(w.p_upper, upper, rel_tol=1e-13)
         assert math.isclose(w.p_indep, independent_no_hit(xis), rel_tol=1e-13)
+
+    def test_zero_lower_barrier_is_not_an_event(self):
+        """A lower barrier at 0 is never hit, so the upper one is exact."""
+        w = interval_weights(one_asset_ctx(lower=0.0, upper=115.0, s1=104.0))
+        expected = 1.0 - xi(100.0, 104.0, 115.0, 0.3, 0.5, "upper")
+        assert w == BridgeWeights(expected, expected, expected, expected)
 
     def test_ordering_on_random_contexts(self):
         rng = np.random.default_rng(17)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,9 @@ import pytest
 from bridgebound.estimators import (
     EstimatorResult,
     confidence_interval,
-    discrete_barrier_interpolate,
-    knock_in_price,
     path_contributions,
     point_estimators,
     price,
-    rebate_price,
 )
 from bridgebound.model import (
     MarketModel,
@@ -74,27 +72,6 @@ class TestConfidenceInterval:
             confidence_interval(lo, lo, alpha=0.0)
 
 
-class TestDiscreteBarrierInterpolate:
-    def test_interpolates_through_the_fitted_point(self):
-        assert discrete_barrier_interpolate(8.794, 9.74, 16, 16) == pytest.approx(
-            9.74, rel=1e-12
-        )
-
-    def test_infinite_target_returns_continuous(self):
-        assert discrete_barrier_interpolate(8.794, 9.74, 16, math.inf) == 8.794
-
-    def test_sqrt_frequency_scaling(self):
-        """Calibrated at 16 dates, predicting 256 dates quarters the gap."""
-        out = discrete_barrier_interpolate(8.794, 9.74, 16, 256)
-        assert out == pytest.approx(8.794 + (9.74 - 8.794) / 4.0, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="m_low"):
-            discrete_barrier_interpolate(1.0, 2.0, 0, 4)
-        with pytest.raises(ValueError, match="m_target"):
-            discrete_barrier_interpolate(1.0, 2.0, 4, 0.5)
-
-
 class TestPriceArguments:
     def test_n_paths_floor(self):
         model, spec = load_config("table1a")
@@ -140,10 +117,27 @@ class TestPriceArguments:
         ki = OptionSpec(kind=spec.kind, strike=spec.strike, knock="in", rebate=2.0)
         with pytest.raises(ValueError, match="rebate"):
             price(model, ki, 100)
-        with pytest.raises(ValueError, match="rebate"):
-            knock_in_price(model, ki, 100)
-        with pytest.raises(ValueError, match="rebate"):
-            rebate_price(model, ki, 100, rebate=2.0)
+
+
+class TestPayoffHook:
+    @pytest.mark.parametrize(
+        "hook, message",
+        [
+            (lambda s: np.maximum(s[:, :1] - 100.0, 0.0), r"shape \(1000,\), got \(1000, 1\)"),
+            (lambda s: np.zeros((len(s), 2)), r"shape \(1000,\), got \(1000, 2\)"),
+            (lambda s: np.zeros(3), r"shape \(1000,\), got \(3,\)"),
+            (lambda s: np.full(len(s), np.nan), "non-finite"),
+        ],
+        ids=["n_by_1", "n_by_2", "three", "nan"],
+    )
+    def test_bad_hook_output_rejected(self, hook, message):
+        """Used to broadcast into a wrong price, a NaN, or a numpy error."""
+        model, _ = load_config("table1a", steps=4)
+        spec = OptionSpec(kind="custom", payoff=hook)
+        with pytest.raises(ModelError, match="payoff hook"):
+            price(model, spec, 1000, seed=1)
+        with pytest.raises(ModelError, match=message):
+            path_contributions(model, spec, 1000, seed=1)
 
 
 class TestPricingReport:
@@ -220,7 +214,7 @@ class TestKnockInParity:
         model, spec = load_config("table1b", steps=4)
         n = 20_000
         ko = price(model, spec, n, seed=6)
-        ki = knock_in_price(model, spec, n, seed=6)
+        ki = price(model, replace(spec, knock="in"), n, seed=6)
         vanilla = barrier_free_model(d=2, sigma=0.3, rate=0.1, maturity=1.0, steps=4,
                                      corr=[[1.0, 0.5], [0.5, 1.0]])
         plain = price(vanilla, OptionSpec(kind="call", strike=100.0), n, seed=6)
@@ -234,9 +228,11 @@ class TestKnockInParity:
     def test_price_dispatches_on_knock_field(self):
         model, spec = load_config("table1a", steps=2)
         ki_spec = OptionSpec(kind=spec.kind, strike=spec.strike, asset=spec.asset, knock="in")
-        via_price = price(model, ki_spec, 4000, seed=1)
-        via_helper = knock_in_price(model, spec, 4000, seed=1)
-        assert via_price.to_dict() == via_helper.to_dict()
+        via_field = price(model, ki_spec, 4000, seed=1)
+        via_replace = price(model, replace(spec, knock="in"), 4000, seed=1)
+        knock_out = price(model, spec, 4000, seed=1)
+        assert via_field.to_dict() == via_replace.to_dict()
+        assert via_field.q_s.mean != knock_out.q_s.mean
 
     def test_knock_in_with_unreachable_barrier_is_worthless(self):
         """A zero lower barrier can never knock the option in."""
@@ -244,7 +240,7 @@ class TestKnockInParity:
         model = MarketModel(
             spot=[100.0], rate=0.1, grid=TimeGrid.uniform(0.5, 2), regimes=(regime,)
         )
-        report = knock_in_price(model, OptionSpec(kind="call", strike=100.0), 4000, seed=0)
+        report = price(model, OptionSpec(kind="call", strike=100.0, knock="in"), 4000, seed=0)
         for est in (report.q_s, report.q_lower, report.q_indep, report.q_upper):
             assert est.mean == 0.0
 
@@ -255,7 +251,7 @@ class TestKnockInParity:
             spot=[100.0], rate=0.1, grid=TimeGrid.uniform(1.0, 16), regimes=(regime,)
         )
         n = 30_000
-        ki = knock_in_price(model, OptionSpec(kind="call", strike=100.0), n, seed=4)
+        ki = price(model, OptionSpec(kind="call", strike=100.0, knock="in"), n, seed=4)
         vanilla = price(
             barrier_free_model(sigma=0.6, maturity=1.0, steps=16),
             OptionSpec(kind="call", strike=100.0), n, seed=4,
@@ -268,7 +264,7 @@ class TestRebate:
     def test_zero_rebate_identical_to_plain_price(self):
         model, spec = load_config("table2", steps=4)
         plain = price(model, spec, 6000, seed=7)
-        with_zero = rebate_price(model, spec, 6000, rebate=0.0, seed=7)
+        with_zero = price(model, replace(spec, rebate=0.0), 6000, seed=7)
         assert plain.to_dict() == with_zero.to_dict()
 
     def test_pure_rebate_prices_the_hit_probability(self):
@@ -276,7 +272,7 @@ class TestRebate:
         model, spec = load_config("table1a", steps=4)
         zero_payoff = OptionSpec(kind="custom", payoff=lambda s: np.zeros(len(s)))
         n = 20_000
-        report = rebate_price(model, zero_payoff, n, rebate=1.0, seed=8)
+        report = price(model, replace(zero_payoff, rebate=1.0), n, seed=8)
         cols = path_contributions(model, zero_payoff, n, seed=8)
         disc = math.exp(-model.rate * model.grid.maturity)
         alive = cols["alive"].astype(float)
@@ -288,14 +284,14 @@ class TestRebate:
     def test_rebate_override_beats_spec_field(self):
         model, spec = load_config("table1a", steps=2)
         spec_with = OptionSpec(kind=spec.kind, strike=spec.strike, rebate=3.0)
-        via_field = rebate_price(model, spec_with, 4000, seed=2)
-        via_override = rebate_price(model, spec, 4000, rebate=3.0, seed=2)
+        via_field = price(model, spec_with, 4000, seed=2)
+        via_override = price(model, replace(spec, rebate=3.0), 4000, seed=2)
         assert via_field.to_dict() == via_override.to_dict()
 
     def test_rebate_never_cheapens_the_option(self):
         model, spec = load_config("table2", steps=4)
         plain = price(model, spec, 6000, seed=3)
-        sweet = rebate_price(model, spec, 6000, rebate=5.0, seed=3)
+        sweet = price(model, replace(spec, rebate=5.0), 6000, seed=3)
         assert sweet.q_s.mean >= plain.q_s.mean
         assert sweet.q_upper.mean >= plain.q_upper.mean
 

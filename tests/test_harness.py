@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bridgebound.estimators import price
+from bridgebound.estimators import ESTIMATOR_NAMES, price
 from bridgebound.harness import (
     CSV_HEADER,
     ESTIMATOR_ORDER,
@@ -95,6 +95,37 @@ class TestReportRows:
         report = price(model, spec, 2000, seed=0)
         rows = report_rows("table2", 2, report, selection=("q_upper", "q_lower"))
         assert [r["estimator"] for r in rows] == ["q_lower", "q_upper"]
+
+
+class TestEstimatorTable:
+    @pytest.mark.parametrize("table_id", [1, 2], ids=["single_event", "multi_event"])
+    def test_every_output_reads_the_one_table(self, table_id):
+        """CSV rows, the JSON view and the golden checks all carry the
+        report's (value, std_error) pairs, the first two in table order."""
+        result = reproduce_table(table_id, n_paths=2000, seed=4)
+        for (label, m), report in result.reports.items():
+            table = report.estimates
+            exact = ["q_exact"] if table_id == 1 else []
+            assert list(table) == ["q_s", "q_lower", "q_indep", "q_upper", *exact, "q0", "q1", "q2"]
+            rows = report_rows(label, m, report)
+            assert [
+                (r["estimator"], (float(r["mean"]), float(r["std_error"]))) for r in rows[:-2]
+            ] == list(table.items())
+            assert [r["estimator"] for r in rows[-2:]] == ["ci_low", "ci_high"]
+            payload = report.to_dict()
+            emitted = [(n, (e["mean"], e["std_error"])) for n, e in payload["estimators"].items()]
+            emitted += [
+                (n, (e["value"], e["std_error"])) for n, e in payload["point_estimates"].items()
+            ]
+            assert emitted == list(table.items())
+        named = 0
+        for check in result.checks:
+            label, m, est = check.label.split()[:3]
+            if est in ESTIMATOR_NAMES:
+                report = result.reports[(label, int(m.removeprefix("M=")))]
+                assert (check.value, check.std_error) == report.estimates[est]
+                named += 1
+        assert named > 0
 
 
 class TestRunSweep:

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from bridgebound.bridge import IntervalContext, interval_weights
+from bridgebound.estimators import path_contributions
 from bridgebound.model import MarketModel, Regime, TimeGrid, load_config
-from bridgebound.simulate import CHUNK, PathState, path_batches, simulate_path, step
+from bridgebound.simulate import CHUNK, PathState, path_batches, simulate_path
 
 
 def flat_model(d=1, spot=100.0, sigma=0.3, rate=0.1, corr=None, lower=None, upper=None,
@@ -26,28 +28,9 @@ def flat_model(d=1, spot=100.0, sigma=0.3, rate=0.1, corr=None, lower=None, uppe
 class TestStep:
     def test_drift_only_limit(self):
         """With zero volatility one step is pure exponential drift."""
-        regime = Regime(mu=[0.1], sigma=[0.0])
-        out = step(np.array([100.0]), regime, 1.0, np.array([0.0]))
-        assert math.isclose(out[0], 110.51709180756476, rel_tol=1e-14)
-
-    def test_zero_draw(self):
-        regime = Regime(mu=[0.1], sigma=[0.3])
-        out = step(np.array([100.0]), regime, 0.5, np.array([0.0]))
-        assert math.isclose(out[0], 102.78816151072527, rel_tol=1e-14)
-
-    def test_batch_broadcasting(self):
-        regime = Regime(mu=[0.1, 0.05], sigma=[0.3, 0.2])
-        prev = np.full((4, 2), 100.0)
-        z = np.zeros((4, 2))
-        out = step(prev, regime, 0.5, z)
-        assert out.shape == (4, 2)
-        assert np.all(out[:, 0] == out[0, 0])
-
-    def test_positive_output(self):
-        regime = Regime(mu=[0.0], sigma=[0.4])
-        z = np.linspace(-8.0, 8.0, 33).reshape(-1, 1)
-        out = step(np.full((33, 1), 100.0), regime, 1.0, z)
-        assert np.all(out > 0.0)
+        model = flat_model(d=1, sigma=0.0, rate=0.1, maturity=1.0, steps=1)
+        state = simulate_path(model, 3)
+        assert math.isclose(state.values[1, 0], 110.51709180756476, rel_tol=1e-14)
 
     def test_martingale_property(self):
         """Discounted one-step growth has unit mean under mu = r."""
@@ -189,6 +172,38 @@ class TestPathBatches:
         assert np.all(batch.w_lower == 1.0)
         assert np.all(batch.w_upper == 1.0)
         assert np.all(batch.alive)
+
+
+class TestEngineMatchesIntervalWeights:
+    def test_weights_are_products_of_interval_weights(self):
+        """Each path's engine weights are the product over steps of the
+        scalar interval weights on that path's sampled endpoints."""
+        base, spec = load_config("table4_d3", steps=4)
+        r = base.regimes[0]
+        # asset 0 carries both a lower and an upper barrier
+        regime = Regime(mu=r.mu, sigma=r.sigma, corr=r.corr, lower=r.lower,
+                        upper=[150.0, None, None])
+        model = MarketModel(spot=base.spot, rate=base.rate, grid=base.grid, regimes=regime)
+        cols = path_contributions(model, spec, CHUNK + 40, seed=9)
+        # the first three surviving paths and the first dead one of each chunk
+        picked = []
+        for first in (0, CHUNK):
+            chunk = cols["alive"][first:first + CHUNK]
+            picked += [first + int(i) for i in np.flatnonzero(chunk)[:3]]
+            picked.append(first + int(np.flatnonzero(~chunk)[0]))
+        for i in picked:
+            state = simulate_path(model, i, seed=9)
+            prods = {"w_lower": 1.0, "w_indep": 1.0, "w_upper": 1.0}
+            for m in range(model.grid.n_steps):
+                ctx = IntervalContext(state.values[m], state.values[m + 1],
+                                      model.regimes[m], model.grid.dt(m))
+                w = interval_weights(ctx)
+                prods["w_lower"] *= w.p_lower
+                prods["w_indep"] *= w.p_indep
+                prods["w_upper"] *= w.p_upper
+            for name, value in prods.items():
+                assert cols[name][i] == pytest.approx(value, rel=1e-9, abs=1e-12), (i, name)
+            assert bool(cols["alive"][i]) == state.alive_discrete
 
 
 class TestStatisticalProperties:
