@@ -76,11 +76,25 @@ class BridgeWeights:
     p_exact: float | None = None
 
 
+def _xi_inside(x0, x1, log_barrier: float, variance: float):
+    """Hit probability of a bridge with both endpoints inside the barrier.
+
+    Vectorized over x0/x1; ``variance`` is sigma^2 * dt, and zero variance
+    is the straight line, which stays inside.  A row with an endpoint on or
+    beyond the barrier gets some value in [0, 1], which the caller must
+    override or discard.
+    """
+    if variance == 0.0:
+        return np.zeros(np.broadcast(x0, x1).shape)
+    expo = (-2.0 / variance) * (log_barrier - x0) * (log_barrier - x1)
+    return np.exp(np.fmin(expo, 0.0))  # exponent > 0 only when touched
+
+
 def _xi_from_logs(x0, x1, log_barrier: float, variance: float, side: str):
     """Hit probability from log endpoints; vectorized over x0/x1.
 
-    ``variance`` is sigma^2 * dt.  Zero variance degenerates to the straight
-    line between the endpoints, which hits only if an endpoint touches.
+    ``variance`` is sigma^2 * dt.  An endpoint on or beyond the barrier is a
+    certain hit.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -90,11 +104,7 @@ def _xi_from_logs(x0, x1, log_barrier: float, variance: float, side: str):
         touched = (x0 >= log_barrier) | (x1 >= log_barrier)
     else:
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    if variance == 0.0:
-        return np.where(touched, 1.0, 0.0)
-    expo = (-2.0 / variance) * (log_barrier - x0) * (log_barrier - x1)
-    value = np.exp(np.fmin(expo, 0.0))  # exponent > 0 only when touched
-    return np.where(touched, 1.0, value)
+    return np.where(touched, 1.0, _xi_inside(x0, x1, log_barrier, variance))
 
 
 def xi(s0: float, s1: float, barrier: float, sigma: float, dt: float, side: str = "lower") -> float:
@@ -173,12 +183,11 @@ def _combine(xis: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndar
         no_hit = 1.0 - x
         prod *= no_hit
         np.fmin(least, no_hit, out=least)
-    # The chain p_lower <= p_indep <= p_upper holds mathematically; fmin
-    # only guards against last-ulp rounding inversions.
-    p_upper = least
-    p_indep = np.fmin(prod, p_upper)
-    p_lower = np.fmin(np.fmax(1.0 - sum_xi, 0.0), p_indep)
-    return p_lower, p_indep, p_upper
+    # Rounding is monotone, so fl(a*b) <= min(a, b) for a, b in [0, 1]: the
+    # product never exceeds the least 1 - xi and p_indep <= p_upper holds
+    # exactly.  1 - sum can round above the product, hence the fmin.
+    p_lower = np.fmin(np.fmax(1.0 - sum_xi, 0.0), prod)
+    return p_lower, prod, least
 
 
 def interval_weights(ctx: IntervalContext) -> BridgeWeights:

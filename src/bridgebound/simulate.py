@@ -4,10 +4,12 @@ Paths are simulated in fixed chunks of :data:`CHUNK` paths.  Each chunk owns
 a counter-based random stream (Philox) keyed by ``seed * 2**64 + chunk``,
 and draws inside a chunk are consumed step-major: at each step the chunk
 generates a full (CHUNK, d) block of uniforms, maps them through the normal
-inverse CDF (one uniform per normal, keeping the counter aligned), and
-correlates them with the regime's factor.  The tail chunk still generates a
-full block and slices, so the draw behind path i never depends on the total
-path count.  Together these make every output a pure function of
+inverse CDF (one uniform per normal), and correlates them with the regime's
+factor.  A chunk that keeps fewer paths (the tail chunk, or the chunk
+``simulate_path`` regenerates) still generates the full uniform block, so
+the counter stays aligned and the draw behind path i never depends on the
+total path count, but it maps, correlates and advances only the rows it
+keeps.  Together these make every output a pure function of
 (seed, n_paths, model) no matter how chunks are scheduled across workers.
 
 Prices evolve in log space; exponentials happen only where prices are
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .bridge import _active_events, _combine, _xi_from_logs
+from .bridge import _active_events, _combine, _xi_inside
 from .model import MarketModel
 
 __all__ = [
@@ -40,6 +42,11 @@ CHUNK = 32768
 # Generator.random can return exactly 0.0, where the inverse CDF diverges;
 # half an ulp below the smallest positive draw is statistically invisible.
 _U_FLOOR = 2.0**-54
+
+# Fewest rows a chunk walks.  numpy hands a one-row matrix product to gemv,
+# which can round the correlated draws differently in the last bit from the
+# same row of a many-row product; from two rows on the rows agree.
+_MIN_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,11 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk_index))
 
 
-def _normal_block(gen: np.random.Generator, d: int) -> np.ndarray:
-    u = gen.random((CHUNK, d))
+def _normal_block(gen: np.random.Generator, d: int, rows: int) -> np.ndarray:
+    # The whole block is drawn whatever ``rows`` is, to keep the counter aligned.
+    u = gen.random((CHUNK, d))[:rows]
     np.fmax(u, _U_FLOOR, out=u)
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ class _EventKernel:
 class _StepKernel:
     drift: np.ndarray  # (d,) (mu - sigma^2/2) dt
     vol: np.ndarray  # (d,) sigma sqrt(dt)
-    factor: np.ndarray
+    factor: np.ndarray | None  # None where the regime's factor is the identity
     events: tuple[_EventKernel, ...]
 
 
@@ -127,11 +135,12 @@ def _plan(model: MarketModel) -> _EnginePlan:
             for k, side, level in _active_events(regime)
         ]
         exact = exact and len(events) <= 1
+        factor = model.regime_factor(m)
         steps.append(
             _StepKernel(
                 drift=(regime.mu - 0.5 * regime.sigma**2) * dt,
                 vol=regime.sigma * math.sqrt(dt),
-                factor=model.regime_factor(m),
+                factor=None if np.array_equal(factor, np.eye(model.d)) else factor,
                 events=tuple(events),
             )
         )
@@ -149,21 +158,26 @@ def _apply_event_alive(alive: np.ndarray, x0: np.ndarray, x1: np.ndarray, ev: _E
 
 
 def _walk(plan: _EnginePlan, seed: int, chunk_index: int, alive: np.ndarray):
-    """Walk one full chunk of paths: yield ``(kernel, x0, x1)`` per step.
+    """Walk the first ``len(alive)`` paths of one chunk: yield ``(kernel, x0, x1)`` per step.
 
-    ``x0`` and ``x1`` are the (CHUNK, d) log prices at the step's ends, in
-    two buffers that the walk reuses: read them before the next step.
-    ``alive`` (CHUNK,) is cleared in place where a path's sampled endpoints
-    touch or cross a barrier of the step.
+    Each step draws the chunk's full uniform block but transforms only the
+    walked rows.  ``x0`` and ``x1`` are their (len(alive), d) log prices at
+    the step's ends, in two buffers that the walk reuses: read them before
+    the next step.  ``alive`` is cleared in place where a path's sampled
+    endpoints touch or cross a barrier of the step.
     """
     gen = _stream(seed, chunk_index)
+    rows = len(alive)
     d = plan.d
-    x0 = np.broadcast_to(plan.log_spot, (CHUNK, d)).copy()
+    x0 = np.broadcast_to(plan.log_spot, (rows, d)).copy()
     x1 = np.empty_like(x0)
     for kernel in plan.steps:
-        z = _normal_block(gen, d)
+        z = _normal_block(gen, d, rows)
         np.add(x0, kernel.drift, out=x1)
-        x1 += kernel.vol * (z @ kernel.factor.T)
+        if kernel.factor is not None:
+            z = z @ kernel.factor.T
+        z *= kernel.vol
+        x1 += z
         for ev in kernel.events:
             _apply_event_alive(alive, x0, x1, ev)
         yield kernel, x0, x1
@@ -171,23 +185,31 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, alive: np.ndarray):
 
 
 def _compute_batch(plan: _EnginePlan, seed: int, chunk_index: int, n_paths: int) -> PathBatch:
-    """Simulate one full chunk and keep its paths among the first ``n_paths``."""
+    """Simulate the paths of one chunk that lie among the first ``n_paths``."""
     rows = min(CHUNK, n_paths - chunk_index * CHUNK)
-    w_lower = np.ones(CHUNK)
-    w_indep = np.ones(CHUNK)
-    w_upper = np.ones(CHUNK)
-    alive = np.ones(CHUNK, dtype=bool)
-    x1 = np.broadcast_to(plan.log_spot, (CHUNK, plan.d))  # a grid without steps
+    walked = max(rows, _MIN_ROWS)
+    w_lower = np.ones(walked)
+    w_indep = np.ones(walked)
+    w_upper = np.ones(walked)
+    alive = np.ones(walked, dtype=bool)
+    x1 = np.broadcast_to(plan.log_spot, (walked, plan.d))  # a grid without steps
     for kernel, x0, x1 in _walk(plan, seed, chunk_index, alive):
         if kernel.events:
+            # Rows that touch a barrier are dead, and the alive mask zeroes
+            # their weights below, so the hit probability is taken as if
+            # every row were inside.
             xis = (
-                _xi_from_logs(x0[:, ev.asset], x1[:, ev.asset], ev.log_level, ev.variance, ev.side)
+                _xi_inside(x0[:, ev.asset], x1[:, ev.asset], ev.log_level, ev.variance)
                 for ev in kernel.events
             )
             p_lower, p_indep, p_upper = _combine(xis)
             w_lower *= p_lower
             w_indep *= p_indep
             w_upper *= p_upper
+    # Weights lie in [0, 1], so a dead row becomes +0.0.
+    w_lower *= alive
+    w_indep *= alive
+    w_upper *= alive
 
     return PathBatch(
         first=chunk_index * CHUNK,
@@ -214,9 +236,9 @@ def _n_chunks(n_paths: int) -> int:
 def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathState:
     """Simulate one full trajectory, bit-identical to the batch engine's.
 
-    The chunk containing ``path_index`` is regenerated and the path's row
-    extracted, so the result never depends on worker count or on how many
-    other paths a pricing run asked for.
+    The chunk containing ``path_index`` is regenerated up to the path's row
+    and the row extracted, so the result never depends on worker count or on
+    how many other paths a pricing run asked for.
     """
     if path_index < 0:
         raise ValueError("path_index must be >= 0")
@@ -224,7 +246,7 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
     chunk_index, row = divmod(path_index, CHUNK)
     values = np.empty((len(plan.steps) + 1, plan.d))
     values[0] = model.spot
-    alive = np.ones(CHUNK, dtype=bool)
+    alive = np.ones(max(row + 1, _MIN_ROWS), dtype=bool)
     for m, (_, _, x1) in enumerate(_walk(plan, seed, chunk_index, alive)):
         values[m + 1] = np.exp(x1[row])
     return PathState(values=values, alive_discrete=bool(alive[row]), path_index=path_index)

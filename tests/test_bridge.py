@@ -162,8 +162,8 @@ class TestCombine:
         lower, upper = frechet_bounds(xs)
         indep = independent_no_hit(xs)
         assert p_upper == upper
-        assert p_indep == min(indep, upper)
-        assert p_lower == min(lower, min(indep, upper))
+        assert p_indep == indep <= upper  # rounded products never exceed a factor
+        assert p_lower == min(lower, indep)
 
 
 class TestIntervalWeights:
@@ -377,7 +377,7 @@ def full_path_oracle(ctx, substeps, trials, seed):
 CORR3 = [[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]]
 
 ORACLE_CONTEXTS = {
-    "correlated d=3, asset 1 unbarred": IntervalContext(
+    "corr-d3-asset1-unbarred": IntervalContext(
         s0=[100.0, 95.0, 105.0],
         s1=[98.0, 99.0, 104.0],
         regime=Regime(
@@ -386,9 +386,9 @@ ORACLE_CONTEXTS = {
         ),
         dt=0.25,
     ),
-    "upper barrier": one_asset_ctx(s1=104.0, lower=None, upper=112.0, sigma=0.25),
-    "both barriers on one asset": one_asset_ctx(s1=104.0, lower=90.0, upper=112.0, sigma=0.25),
-    "lower barrier at 0": IntervalContext(
+    "upper-barrier": one_asset_ctx(s1=104.0, lower=None, upper=112.0, sigma=0.25),
+    "both-barriers-one-asset": one_asset_ctx(s1=104.0, lower=90.0, upper=112.0, sigma=0.25),
+    "lower-barrier-at-0": IntervalContext(
         s0=[100.0, 100.0],
         s1=[103.0, 97.0],
         regime=Regime(
@@ -397,8 +397,8 @@ ORACLE_CONTEXTS = {
         ),
         dt=0.5,
     ),
-    "endpoint on a barrier": one_asset_ctx(s1=90.0),
-    "start on a barrier": one_asset_ctx(s0=90.0),
+    "endpoint-on-barrier": one_asset_ctx(s1=90.0),
+    "start-on-barrier": one_asset_ctx(s0=90.0),
 }
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgebound.bridge import IntervalContext, interval_weights
 from bridgebound.estimators import path_contributions
@@ -158,13 +161,26 @@ class TestPathBatches:
         assert np.all((batch.w_lower >= 0.0) & (batch.w_upper <= 1.0))
 
     def test_dead_path_weight_zero(self):
-        """A discrete breach forces every no-hit weight to zero."""
-        model, _ = load_config("table1a")
-        batch = next(path_batches(model, CHUNK, seed=0))
-        dead = ~batch.alive
-        assert dead.any()
-        assert np.all(batch.w_upper[dead] == 0.0)
-        assert np.all(batch.w_lower[dead] == 0.0)
+        """A discrete breach forces every no-hit weight to +0.0."""
+        # a barrier that appears at the second date, below paths already beyond it
+        late = MarketModel(
+            spot=[100.0], rate=0.1, grid=TimeGrid.uniform(0.5, 2),
+            regimes=(Regime(mu=[0.1], sigma=[0.3]),
+                     Regime(mu=[0.1], sigma=[0.3], lower=[95.0])),
+        )
+        for label, model in [
+            ("table1a", load_config("table1a")[0]),
+            ("table4_d10", load_config("table4_d10")[0]),
+            ("late barrier", late),
+        ]:
+            batch = next(path_batches(model, CHUNK, seed=0))
+            dead = ~batch.alive
+            assert dead.any()
+            for name in ("w_lower", "w_indep", "w_upper", "w_exact"):
+                w = getattr(batch, name)
+                if w is not None:
+                    assert np.all(w[dead] == 0.0), (label, name)
+                    assert not np.signbit(w[dead]).any(), (label, name)
 
     def test_weights_one_when_no_barriers(self):
         model = flat_model(d=2, corr=[[1.0, 0.5], [0.5, 1.0]])
@@ -172,6 +188,52 @@ class TestPathBatches:
         assert np.all(batch.w_lower == 1.0)
         assert np.all(batch.w_upper == 1.0)
         assert np.all(batch.alive)
+
+
+_FIELDS = ("terminal", "alive", "w_lower", "w_indep", "w_upper", "w_exact")
+
+
+@functools.cache
+def _columns(cfg: str, n: int) -> dict[str, np.ndarray]:
+    """Every PathBatch field of ``n`` paths, concatenated over chunks.
+
+    Three steps at seed 7: there, on ``table4_d10``, a one-row correlation
+    product would round the first path of the second chunk differently from
+    a many-row one.
+    """
+    model, _ = load_config(cfg, steps=3)
+    batches = list(path_batches(model, n, seed=7))
+    return {
+        name: np.concatenate([getattr(b, name) for b in batches])
+        for name in _FIELDS
+        if getattr(batches[0], name) is not None
+    }
+
+
+class TestRowCount:
+    """A chunk walks only the rows it keeps; what it keeps must not depend
+    on how many rows that is."""
+
+    @pytest.mark.parametrize("cfg", ["table4_d10", "table4_d3"])
+    @pytest.mark.parametrize("n", [2, 3, 1696, CHUNK + 1, CHUNK + 2])
+    def test_prefix_of_two_full_chunks(self, cfg, n):
+        full = _columns(cfg, 2 * CHUNK)
+        got = _columns(cfg, n)
+        assert set(got) == set(full)
+        for name, col in got.items():
+            assert np.array_equal(col, full[name][:n]), name
+
+    @given(st.integers(min_value=0, max_value=2 * CHUNK - 1))
+    @settings(max_examples=25, deadline=None)
+    @example(0)
+    @example(CHUNK)
+    def test_simulate_path_is_the_batch_row(self, i):
+        for cfg in ("table1a", "table4_d3"):
+            model, _ = load_config(cfg, steps=3)
+            full = _columns(cfg, 2 * CHUNK)
+            state = simulate_path(model, i, seed=7)
+            assert np.array_equal(state.values[-1], full["terminal"][i]), cfg
+            assert state.alive_discrete == bool(full["alive"][i]), cfg
 
 
 class TestEngineMatchesIntervalWeights:
