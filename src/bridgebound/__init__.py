@@ -13,11 +13,8 @@ bracket the continuously monitored price.
 from .bridge import (
     BridgeWeights,
     IntervalContext,
-    frechet_bounds,
-    independent_no_hit,
     interval_weights,
     oracle_no_hit,
-    sample_extremum,
     xi,
 )
 from .estimators import (
@@ -75,8 +72,6 @@ __all__ = [
     "factor_correlation",
     "fit_convergence",
     "fit_from_csv",
-    "frechet_bounds",
-    "independent_no_hit",
     "interval_weights",
     "load_config",
     "oracle_no_hit",
@@ -86,7 +81,6 @@ __all__ = [
     "price",
     "reproduce_table",
     "run_sweep",
-    "sample_extremum",
     "simulate_path",
     "validate",
     "xi",

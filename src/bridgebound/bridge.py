@@ -22,22 +22,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Regime
+from .model import Regime, factor_correlation
 
 __all__ = [
     "IntervalContext",
     "BridgeWeights",
     "xi",
-    "frechet_bounds",
-    "independent_no_hit",
     "interval_weights",
-    "sample_extremum",
     "oracle_no_hit",
 ]
-
-# Uniform arguments to the inverse hit-probability are clamped to
-# [_U_EPS, 1 - _U_EPS]: xi^-1(0) is an infinite extremum.
-_U_EPS = 1e-16
 
 # Normals per block of oracle trials (2 MB): one block's draws and the paths
 # built from them stay cache-sized.
@@ -125,33 +118,6 @@ def xi(s0: float, s1: float, barrier: float, sigma: float, dt: float, side: str 
     return float(value)
 
 
-def frechet_bounds(hit_probs) -> tuple[float, float]:
-    """Sharp bounds on the joint no-hit probability given event marginals.
-
-    ``hit_probs`` lists the xi of every active barrier event in the
-    interval.  Returns ``(max(1 - sum, 0), min(1 - xi))``; an empty list
-    means no barriers, hence certain no-hit ``(1, 1)``.
-    """
-    xs = [float(p) for p in hit_probs]
-    if not xs:
-        return 1.0, 1.0
-    lower = max(1.0 - sum(xs), 0.0)
-    upper = 1.0 - max(xs)
-    return lower, upper
-
-
-def independent_no_hit(hit_probs) -> float:
-    """Joint no-hit probability if the events were independent.
-
-    The product of ``1 - xi`` over events; always lies between the Frechet
-    bounds.
-    """
-    out = 1.0
-    for p in hit_probs:
-        out *= 1.0 - float(p)
-    return out
-
-
 def _active_events(regime: Regime) -> tuple[tuple[int, str, float], ...]:
     """The regime's barrier events that can be hit, in canonical order.
 
@@ -209,29 +175,6 @@ def interval_weights(ctx: IntervalContext) -> BridgeWeights:
     return BridgeWeights(p_lower, p_indep, p_upper, p_upper if len(events) == 1 else None)
 
 
-def sample_extremum(s0, s1, sigma: float, dt: float, u, which: str):
-    """Invert the hit probability: the X with ``xi(X) = u``, vectorized in u.
-
-    Solving for ``x = ln X`` gives the quadratic roots
-    ``x = (a + b)/2 +/- sqrt((a - b)^2/4 - sigma^2 dt ln(u)/2)`` with
-    ``a = ln s0``, ``b = ln s1``; ``which="max"`` takes the "+" root (X at or
-    above both endpoints), ``which="min"`` the "-" root.  To draw the bridge
-    maximum from a uniform U pass ``u = 1 - U`` (its CDF is ``1 - xi``); the
-    minimum uses ``u = U`` directly.  ``u`` is clamped to
-    ``[1e-16, 1 - 1e-16]`` to exclude infinite extrema.
-    """
-    if which not in ("max", "min"):
-        raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    u_arr = np.clip(np.asarray(u, dtype=float), _U_EPS, 1.0 - _U_EPS)
-    a = math.log(s0)
-    b = math.log(s1)
-    disc = 0.25 * (a - b) ** 2 - 0.5 * sigma * sigma * dt * np.log(u_arr)
-    root = np.sqrt(disc)
-    x = 0.5 * (a + b) + (root if which == "max" else -root)
-    out = np.exp(x)
-    return float(out) if np.isscalar(u) else out
-
-
 def oracle_no_hit(
     ctx: IntervalContext,
     substeps: int,
@@ -260,8 +203,6 @@ def oracle_no_hit(
     events = _active_events(regime)
     if not events:
         return 1.0, 0.0
-    from .model import factor_correlation  # deferred to avoid cycle at import time
-
     d = regime.d
     factor = factor_correlation(regime.corr)
     x0 = np.log(ctx.s0)

@@ -3,8 +3,9 @@
 Four subcommands: ``price`` one configuration, ``sweep`` it over monitoring
 frequencies, ``table`` to reproduce a published reference table with golden
 checks, and ``fit`` to estimate a convergence rate from a sweep CSV.
-Outputs are UTF-8 CSV with a header (JSON with ``--format json``); the
-``table`` subcommand prints its comparison report as text by default.
+Outputs are UTF-8 CSV with a header and LF line ends (JSON with
+``--format json``); the ``table`` subcommand prints its comparison report
+as text by default.
 
 Exit codes: 0 success, 1 validation or usage error, 2 golden-check failure.
 """
@@ -16,12 +17,13 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 from .estimators import price as price_option
 from .harness import (
-    CSV_HEADER,
     SweepSpec,
     _config_label,
+    csv_writer,
     fit_from_csv,
     report_rows,
     reproduce_table,
@@ -109,9 +111,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _rows_to_csv(rows: list[dict[str, str]]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_HEADER, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    csv_writer(buf).writerows(rows)
     return buf.getvalue()
 
 
@@ -174,18 +174,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         payload = {
             "table": report.table_id,
             "ok": report.ok,
-            "checks": [
-                {
-                    "label": c.label,
-                    "value": c.value,
-                    "std_error": c.std_error,
-                    "target": c.target,
-                    "target_se": c.target_se,
-                    "z_score": c.z_score,
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
+            "checks": [asdict(c) for c in report.checks],
         }
         _emit(json.dumps(payload, indent=2), args.output)
     else:
@@ -197,14 +186,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     kind = "exponential" if args.kind == "exp" else "power"
     fit = fit_from_csv(args.csv_path, kind)
     if args.format == "json":
-        payload = {
-            "model_kind": fit.model_kind,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "m_used": list(fit.m_used),
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(json.dumps(asdict(fit), indent=2), args.output)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

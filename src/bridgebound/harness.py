@@ -12,12 +12,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .analytic import BsParams, down_and_out_call, reference_price
-from .estimators import ESTIMATOR_NAMES, PricingReport, price
+from .estimators import PricingReport, price
 from .model import load_config
 
 __all__ = [
@@ -28,12 +28,8 @@ __all__ = [
     "run_sweep",
     "fit_convergence",
     "fit_from_csv",
-    "read_sweep_csv",
     "reproduce_table",
 ]
-
-# Row order within one M block of the CSV: the estimator table, then the CI.
-ESTIMATOR_ORDER = ESTIMATOR_NAMES + ("ci_low", "ci_high")
 
 CSV_HEADER = ("config", "m", "estimator", "mean", "std_error")
 
@@ -47,14 +43,13 @@ class SweepSpec:
 
     ``config`` is a shipped config name or a JSON path; every M prices the
     same configuration on a uniform grid with M steps, same seed each time.
-    ``estimators`` restricts which rows are emitted (None keeps all).
+    ``output``, when set, is the path of the CSV that the sweep writes.
     """
 
     config: str
     m_values: tuple[int, ...]
     n_paths: int
     seed: int = 0
-    estimators: tuple[str, ...] | None = None
     output: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -67,10 +62,6 @@ class SweepSpec:
             raise ValueError("m_values must be strictly increasing and >= 1")
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
-        if self.estimators is not None:
-            unknown = set(self.estimators) - set(ESTIMATOR_ORDER)
-            if unknown:
-                raise ValueError(f"unknown estimator(s): {', '.join(sorted(unknown))}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +75,8 @@ class ConvergenceFit:
     m_used: tuple[int, ...]
 
 
-def report_rows(
-    label: str, m: int, report: PricingReport, selection: Iterable[str] | None = None
-) -> list[dict[str, str]]:
-    """Long-format CSV rows for one pricing report.
+def report_rows(label: str, m: int, report: PricingReport) -> list[dict[str, str]]:
+    """Long-format CSV rows for one pricing report: the estimator table, then the CI.
 
     Floats are rendered with ``repr`` so parsing the CSV back reproduces
     the in-memory values exactly.
@@ -97,21 +86,23 @@ def report_rows(
         "ci_low": (report.ci[0], None),
         "ci_high": (report.ci[1], None),
     }
-    keep = set(ESTIMATOR_ORDER if selection is None else selection)
-    rows = []
-    for name, (mean, se) in values.items():
-        if name not in keep:
-            continue
-        rows.append(
-            {
-                "config": label,
-                "m": str(m),
-                "estimator": name,
-                "mean": repr(float(mean)),
-                "std_error": "" if se is None else repr(float(se)),
-            }
-        )
-    return rows
+    return [
+        {
+            "config": label,
+            "m": str(m),
+            "estimator": name,
+            "mean": repr(float(mean)),
+            "std_error": "" if se is None else repr(float(se)),
+        }
+        for name, (mean, se) in values.items()
+    ]
+
+
+def csv_writer(out: TextIO) -> csv.DictWriter:
+    """A writer of sweep-CSV rows to ``out``, with LF line ends; writes the header."""
+    writer = csv.DictWriter(out, fieldnames=CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    return writer
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> dict[int, PricingReport]:
@@ -127,14 +118,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> dict[int, PricingReport]:
     try:
         if spec.output is not None:
             out = open(spec.output, "w", encoding="utf-8", newline="")
-            writer = csv.DictWriter(out, fieldnames=CSV_HEADER)
-            writer.writeheader()
+            writer = csv_writer(out)
         for m in spec.m_values:
             model, option = load_config(spec.config, steps=m)
             report = price(model, option, spec.n_paths, seed=spec.seed, workers=workers)
             reports[m] = report
             if writer is not None:
-                writer.writerows(report_rows(label, m, report, spec.estimators))
+                writer.writerows(report_rows(label, m, report))
                 out.flush()
     finally:
         if out is not None:
@@ -196,13 +186,13 @@ def _fit_points(points: list[tuple[int, float, float]], model_kind: str) -> Conv
     )
 
 
-def read_sweep_csv(path: str | Path) -> dict[int, dict[str, tuple[float, float]]]:
-    """Parse a sweep CSV back into {m: {estimator: (mean, std_error)}}.
+def fit_from_csv(path: str | Path, model_kind: str = "exponential") -> ConvergenceFit:
+    """Fit convergence directly from a sweep CSV file.
 
-    Rows without a standard error (the CI bounds) get se = 0.0.  A file
+    Rows without a standard error (the CI bounds) read as se = 0.0.  A file
     containing several configs is rejected; fit one config at a time.
     """
-    out: dict[int, dict[str, tuple[float, float]]] = {}
+    table: dict[int, dict[str, tuple[float, float]]] = {}
     configs = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -210,17 +200,10 @@ def read_sweep_csv(path: str | Path) -> dict[int, dict[str, tuple[float, float]]
             raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
         for row in reader:
             configs.add(row["config"])
-            m = int(row["m"])
             se = float(row["std_error"]) if row["std_error"] else 0.0
-            out.setdefault(m, {})[row["estimator"]] = (float(row["mean"]), se)
+            table.setdefault(int(row["m"]), {})[row["estimator"]] = (float(row["mean"]), se)
     if len(configs) > 1:
         raise ValueError(f"{path}: contains {len(configs)} configs, expected one")
-    return out
-
-
-def fit_from_csv(path: str | Path, model_kind: str = "exponential") -> ConvergenceFit:
-    """Fit convergence directly from a sweep CSV file."""
-    table = read_sweep_csv(path)
     points = []
     for m in sorted(table):
         row = table[m]
@@ -559,7 +542,7 @@ def _z_check(label: str, value: float, se: float, target: float, target_se: floa
         target=target,
         target_se=target_se,
         z_score=float(z),
-        passed=z <= Z_TOLERANCE,
+        passed=bool(z <= Z_TOLERANCE),  # z is a numpy float when the target came from scipy
     )
 
 

@@ -3,7 +3,7 @@
 The model is deliberately small: piecewise-constant drifts, volatilities,
 correlations, and barriers per time interval (a "regime"), plus a payoff
 evaluated at maturity.  Everything downstream treats these objects as
-immutable; correlation factors are computed once per regime and cached.
+immutable.
 
 Barriers use ``None`` for "no barrier on this side", never infinite
 sentinels, so code that needs the single-barrier fast path can select it
@@ -145,7 +145,6 @@ class MarketModel:
     rate: float
     grid: TimeGrid
     regimes: tuple[Regime, ...]
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spot", np.atleast_1d(np.asarray(self.spot, dtype=float)))
@@ -161,14 +160,6 @@ class MarketModel:
     @property
     def d(self) -> int:
         return len(self.spot)
-
-    def regime_factor(self, m: int) -> np.ndarray:
-        """Lower-triangular correlation factor for interval m (cached per regime)."""
-        regime = self.regimes[m]
-        key = id(regime)
-        if key not in self._factors:
-            self._factors[key] = factor_correlation(regime.corr)
-        return self._factors[key]
 
 
 @dataclass(frozen=True)
@@ -267,8 +258,7 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
     regime-0 barriers (the option would be dead at inception).  A spot
     exactly on a barrier is reported as a violation.
 
-    Idempotent and side-effect free apart from caching correlation factors
-    on the model.
+    Idempotent and side-effect free.
     """
     report = ValidationReport()
     d = model.d
@@ -324,7 +314,6 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
                 f"{label}: correlation is not positive semi-definite "
                 f"(min eigenvalue {w_min:.3e})"
             )
-        model.regime_factor(m)  # populate the factor cache
         for k in range(d):
             lo, hi = regime.lower[k], regime.upper[k]
             for side, b in (("lower", lo), ("upper", hi)):

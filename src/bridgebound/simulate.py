@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bridge import _active_events, _combine, _xi_inside
-from .model import MarketModel
+from .model import MarketModel, factor_correlation
 
 __all__ = [
     "CHUNK",
@@ -123,7 +123,13 @@ class _EnginePlan:
 def _plan(model: MarketModel) -> _EnginePlan:
     steps = []
     exact = True
+    previous = factor = None
     for m, regime in enumerate(model.regimes):
+        if regime is not previous:  # a broadcast regime is one object, factored once
+            previous = regime
+            factor = factor_correlation(regime.corr)
+            if np.array_equal(factor, np.eye(model.d)):
+                factor = None
         dt = model.grid.dt(m)
         events = [
             _EventKernel(
@@ -135,12 +141,11 @@ def _plan(model: MarketModel) -> _EnginePlan:
             for k, side, level in _active_events(regime)
         ]
         exact = exact and len(events) <= 1
-        factor = model.regime_factor(m)
         steps.append(
             _StepKernel(
                 drift=(regime.mu - 0.5 * regime.sigma**2) * dt,
                 vol=regime.sigma * math.sqrt(dt),
-                factor=None if np.array_equal(factor, np.eye(model.d)) else factor,
+                factor=factor,
                 events=tuple(events),
             )
         )

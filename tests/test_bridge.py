@@ -1,4 +1,4 @@
-"""Tests for per-interval hit probabilities, bounds, and extremum sampling.
+"""Tests for per-interval hit probabilities, their bounds, and the oracle.
 
 Closed-form reference numbers were frozen from a 40-digit evaluation of the
 conditional hit-probability formula; statistical checks run at fixed seeds
@@ -13,17 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+
+from conftest import frechet_bounds, independent_no_hit
 
 from bridgebound.bridge import (
     BridgeWeights,
     IntervalContext,
-    frechet_bounds,
-    independent_no_hit,
     _combine,
     interval_weights,
     oracle_no_hit,
-    sample_extremum,
     xi,
 )
 from bridgebound.model import Regime, factor_correlation
@@ -250,70 +248,6 @@ def _random_context(rng, d=None):
         np.fill_diagonal(corr, 1.0)
     regime = Regime(mu=np.zeros(d), sigma=sigma, corr=corr, lower=lower, upper=upper)
     return IntervalContext(s0=s0, s1=s1, regime=regime, dt=dt)
-
-
-class TestSampleExtremum:
-    def test_max_at_u_one_collapses_to_larger_endpoint(self):
-        m = sample_extremum(100.0, 105.0, 0.25, 0.25, 1.0, "max")
-        assert math.isclose(m, 105.0, rel_tol=1e-7)
-
-    def test_min_at_u_one_collapses_to_smaller_endpoint(self):
-        m = sample_extremum(100.0, 105.0, 0.25, 0.25, 1.0, "min")
-        assert math.isclose(m, 100.0, rel_tol=1e-7)
-
-    def test_range_constraints(self):
-        rng = np.random.default_rng(2)
-        u = rng.random(10_000)
-        maxs = sample_extremum(100.0, 105.0, 0.25, 0.25, u, "max")
-        mins = sample_extremum(100.0, 105.0, 0.25, 0.25, u, "min")
-        assert np.all(maxs >= 105.0)
-        assert np.all(mins <= 100.0)
-
-    def test_inverse_consistency_min(self):
-        """xi evaluated at the sampled minimum returns the driving u."""
-        u = np.linspace(1e-6, 1.0 - 1e-6, 211)
-        for s0, s1, sigma, dt in [(100.0, 100.0, 0.3, 0.5), (100.0, 117.0, 0.2, 0.25)]:
-            mins = sample_extremum(s0, s1, sigma, dt, u, "min")
-            back = np.array([xi(s0, s1, float(b), sigma, dt, "lower") for b in mins])
-            assert np.max(np.abs(back - u)) <= 1e-10
-
-    def test_inverse_consistency_max(self):
-        u = np.linspace(1e-6, 1.0 - 1e-6, 211)
-        maxs = sample_extremum(100.0, 95.0, 0.35, 0.5, u, "max")
-        back = np.array([xi(100.0, 95.0, float(b), 0.35, 0.5, "upper") for b in maxs])
-        assert np.max(np.abs(back - u)) <= 1e-10
-
-    def test_sampled_min_reproduces_hit_probability(self):
-        """Empirical P(min <= 90) agrees with the closed form at 4 se."""
-        rng = np.random.default_rng(11)
-        u = rng.random(1_000_000)
-        mins = sample_extremum(100.0, 100.0, 0.3, 0.5, u, "min")
-        p_emp = float(np.mean(mins <= 90.0))
-        se = math.sqrt(XI_FLAT * (1.0 - XI_FLAT) / len(u))
-        assert abs(p_emp - XI_FLAT) <= 4.0 * se
-
-    def test_sampled_max_distribution_matches_fine_grid_bridge(self):
-        """Two-sample K-S against an independently built bridge maximum."""
-        n, sub = 5000, 4000
-        rng = np.random.default_rng(23)
-        maxs = sample_extremum(100.0, 105.0, 0.25, 0.25, 1.0 - rng.random(n), "max")
-        a, b = math.log(100.0), math.log(105.0)
-        sig, dt = 0.25, 0.25
-        dw = rng.standard_normal((n, sub)) * math.sqrt(dt / sub)
-        w = np.cumsum(dw, axis=1)
-        t = np.linspace(dt / sub, dt, sub)
-        path = a + (b - a) * (t / dt) + sig * (w - (t / dt) * w[:, -1:])
-        grid_max = np.exp(np.maximum(path.max(axis=1), max(a, b)))
-        _, p_value = ks_2samp(maxs, grid_max)
-        assert p_value > 0.01
-
-    def test_scalar_in_scalar_out(self):
-        out = sample_extremum(100.0, 105.0, 0.25, 0.25, 0.5, "max")
-        assert isinstance(out, float)
-
-    def test_bad_which_rejected(self):
-        with pytest.raises(ValueError, match="which"):
-            sample_extremum(100.0, 105.0, 0.25, 0.25, 0.5, "median")
 
 
 class TestOracleNoHit:

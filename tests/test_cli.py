@@ -140,6 +140,16 @@ class TestSweep:
         rows = parse_csv(target.read_text(encoding="utf-8"))
         assert {row["m"] for row in rows} == {"1", "2"}
 
+    def test_output_file_matches_stdout(self, tmp_path, capsys):
+        """Both sweep CSV sinks write the same bytes, LF line ends included."""
+        argv = ("sweep", "table2", "--m", "1,2", "--paths", "2000", "--seed", "7")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "sweep.csv"
+        assert run_cli(capsys, *argv, "--output", str(target))[0] == 0
+        assert target.read_bytes() == out.encode("utf-8")
+        assert b"\r" not in target.read_bytes()
+
     def test_json_results_sorted_by_m(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -179,26 +189,20 @@ class TestTable:
         assert "FAIL" not in out
 
     def test_json_report(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "table",
-            "2",
-            "--paths",
-            "50000",
-            "--seed",
-            "3",
-            "--format",
-            "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["table"] == 2
-        assert payload["ok"] is True
-        assert payload["checks"]
-        check = payload["checks"][0]
-        assert {"label", "value", "std_error", "target", "z_score", "passed"} <= set(
-            check
-        )
+        """Every table serializes, including checks against scipy-computed targets."""
+        for table_id in ("1", "2", "3", "4"):
+            code, out, _ = run_cli(
+                capsys, "table", table_id, "--paths", "2000", "--seed", "3", "--format", "json"
+            )
+            payload = json.loads(out)
+            assert payload["table"] == int(table_id)
+            assert code == (0 if payload["ok"] else 2), table_id
+            assert payload["checks"]
+            for check in payload["checks"]:
+                assert list(check) == [
+                    "label", "value", "std_error", "target", "target_se", "z_score", "passed"
+                ]
+                assert isinstance(check["passed"], bool)
 
     def test_failed_check_exits_two(self, capsys, monkeypatch):
         bad = GoldenCheck(

@@ -10,6 +10,8 @@ import pytest
 
 from bridgebound.estimators import (
     EstimatorResult,
+    _knock_in_contribs,
+    _knock_out_contribs,
     confidence_interval,
     path_contributions,
     point_estimators,
@@ -23,6 +25,7 @@ from bridgebound.model import (
     TimeGrid,
     load_config,
 )
+from bridgebound.simulate import CHUNK, path_batches
 
 Z_95 = 1.959963984540054
 
@@ -224,6 +227,24 @@ class TestKnockInParity:
         assert ko.q_lower.mean + ki.q_upper.mean == pytest.approx(target, abs=1e-12)
         assert ko.q_indep.mean + ki.q_indep.mean == pytest.approx(target, abs=1e-12)
         assert ko.q_s.mean + ki.q_s.mean == pytest.approx(target, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "config, steps", [("table1b", 4), ("table4_d3", None)], ids=["table1b", "table4_d3"]
+    )
+    def test_path_level_parity_through_contribs(self, config, steps):
+        """Per path, each knock-out column plus the knock-in column it is
+        reported as (q_lower and q_upper swap) is the payoff itself."""
+        model, spec = load_config(config, steps=steps)
+        discount = math.exp(-model.rate * model.grid.maturity)
+        swap = {"q_lower": "q_upper", "q_upper": "q_lower"}
+        for batch in path_batches(model, CHUNK + 500, seed=6):
+            v = discount * spec.terminal_payoff(batch.terminal)
+            knock_in = dict(_knock_in_contribs(v, batch, 0.0))
+            knock_out = _knock_out_contribs(v, batch, 0.0)
+            assert sorted(knock_in) == sorted(name for name, _ in knock_out)
+            for name, c in knock_out:
+                total = c + knock_in[swap.get(name, name)]
+                assert np.allclose(total, v, rtol=1e-12, atol=0.0), name
 
     def test_price_dispatches_on_knock_field(self):
         model, spec = load_config("table1a", steps=2)

@@ -88,10 +88,6 @@ class TestMarketModel:
         assert len(model.regimes) == 8
         assert all(r is regime for r in model.regimes)
 
-    def test_regime_factor_cached(self):
-        model = one_asset_model(steps=4)
-        assert model.regime_factor(0) is model.regime_factor(3)
-
     def test_d(self):
         assert one_asset_model().d == 1
 
@@ -179,7 +175,7 @@ class TestValidate:
         """Correlation 1 is rank deficient but perfectly legal."""
         model, spec = load_config("table3_rho1")
         assert validate(model, spec).ok
-        ell = model.regime_factor(0)
+        ell = factor_correlation(model.regimes[0].corr)
         assert np.max(np.abs(ell @ ell.T - model.regimes[0].corr)) <= 1e-10
 
     def test_indefinite_correlation_raises_with_regime_index(self):
