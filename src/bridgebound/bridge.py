@@ -83,23 +83,6 @@ def _xi_inside(x0, x1, log_barrier: float, variance: float):
     return np.exp(np.fmin(expo, 0.0))  # exponent > 0 only when touched
 
 
-def _xi_from_logs(x0, x1, log_barrier: float, variance: float, side: str):
-    """Hit probability from log endpoints; vectorized over x0/x1.
-
-    ``variance`` is sigma^2 * dt.  An endpoint on or beyond the barrier is a
-    certain hit.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    if side == "lower":
-        touched = (x0 <= log_barrier) | (x1 <= log_barrier)
-    elif side == "upper":
-        touched = (x0 >= log_barrier) | (x1 >= log_barrier)
-    else:
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    return np.where(touched, 1.0, _xi_inside(x0, x1, log_barrier, variance))
-
-
 def xi(s0: float, s1: float, barrier: float, sigma: float, dt: float, side: str = "lower") -> float:
     """Probability that one asset hits one barrier inside one interval.
 
@@ -108,14 +91,15 @@ def xi(s0: float, s1: float, barrier: float, sigma: float, dt: float, side: str 
     breaches the barrier (``side`` determines which direction counts as a
     breach), else ``exp(-2 ln(barrier/s0) ln(barrier/s1) / (sigma^2 dt))``.
     """
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if barrier <= 0.0:
         if side == "lower":
             return 0.0 if min(s0, s1) > barrier else 1.0
         return 1.0  # an upper barrier at or below zero is always breached
-    value = _xi_from_logs(
-        math.log(s0), math.log(s1), math.log(barrier), sigma * sigma * dt, side
-    )
-    return float(value)
+    x0, x1, b = math.log(s0), math.log(s1), math.log(barrier)
+    touched = (x0 <= b or x1 <= b) if side == "lower" else (x0 >= b or x1 >= b)
+    return 1.0 if touched else float(_xi_inside(x0, x1, b, sigma * sigma * dt))
 
 
 def _active_events(regime: Regime) -> tuple[tuple[int, str, float], ...]:

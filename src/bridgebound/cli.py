@@ -29,7 +29,7 @@ from .harness import (
     reproduce_table,
     run_sweep,
 )
-from .model import ModelError, load_config
+from .model import load_config
 
 __all__ = ["main"]
 
@@ -43,10 +43,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ModelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -141,28 +138,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         m_values = tuple(int(part) for part in args.m.split(",") if part.strip())
     except ValueError:
         raise ValueError(f"--m must be comma-separated integers, got {args.m!r}")
-    spec = SweepSpec(
-        config=args.config,
-        m_values=m_values,
-        n_paths=args.paths,
-        seed=args.seed,
-        output=args.output if args.format == "csv" else None,
-    )
+    spec = SweepSpec(config=args.config, m_values=m_values, n_paths=args.paths, seed=args.seed)
+    if args.format == "csv":
+        # Rows stream out as each M finishes.
+        if args.output is None:
+            run_sweep(spec, workers=args.workers, out=sys.stdout)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                run_sweep(spec, workers=args.workers, out=fh)
+        return 0
     reports = run_sweep(spec, workers=args.workers)
-    label = _config_label(args.config)
-    if args.format == "json":
-        payload = {
-            "config": label,
-            "n_paths": args.paths,
-            "seed": args.seed,
-            "results": [{"m": m, **reports[m].to_dict()} for m in sorted(reports)],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    elif args.output is None:
-        rows = []
-        for m in sorted(reports):
-            rows.extend(report_rows(label, m, reports[m]))
-        _emit(_rows_to_csv(rows), None)
+    payload = {
+        "config": _config_label(args.config),
+        "n_paths": args.paths,
+        "seed": args.seed,
+        "results": [{"m": m, **reports[m].to_dict()} for m in sorted(reports)],
+    }
+    _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
 
 from .model import MarketModel, OptionSpec, validate
-from .simulate import PathBatch, _compute_batch, _n_chunks, _plan, path_batches
+from .simulate import _compute_batch, _n_chunks, _plan, path_batches
 
 __all__ = [
     "EstimatorResult",
@@ -47,7 +46,6 @@ class EstimatorResult:
 
     mean: float
     std_error: float
-    n_paths: int
 
 
 @dataclass(frozen=True)
@@ -152,119 +150,6 @@ def confidence_interval(
     )
 
 
-# One estimator's per-path contributions, as (name, array) pairs.
-_Contribs = list[tuple[str, np.ndarray]]
-
-
-def _knock_out_contribs(v: np.ndarray, batch: PathBatch, r_disc: float) -> _Contribs:
-    alive = batch.alive
-    surv_s = alive.astype(float)
-    out = []
-    for name, w in _weight_columns(batch):
-        surv = alive * w if w is not None else surv_s
-        c = v * surv
-        if r_disc != 0.0:
-            c = c + r_disc * (1.0 - surv)
-        out.append((name, c))
-    return out
-
-
-def _knock_in_contribs(v: np.ndarray, batch: PathBatch, r_disc: float) -> _Contribs:
-    # In-out parity per path; the lower no-hit bound yields the UPPER
-    # knock-in estimate and vice versa, so swap the reported roles.
-    del r_disc
-    alive = batch.alive
-    swap = {"q_lower": "q_upper", "q_upper": "q_lower"}
-    out = []
-    for name, w in _weight_columns(batch):
-        surv = alive * w if w is not None else alive.astype(float)
-        out.append((swap.get(name, name), v * (1.0 - surv)))
-    return out
-
-
-def _weight_columns(batch: PathBatch) -> list[tuple[str, np.ndarray | None]]:
-    cols = [
-        ("q_s", None),
-        ("q_lower", batch.w_lower),
-        ("q_indep", batch.w_indep),
-        ("q_upper", batch.w_upper),
-    ]
-    if batch.w_exact is not None:
-        cols.append(("q_exact", batch.w_exact))
-    return cols
-
-
-def _reduce(
-    model: MarketModel,
-    spec: OptionSpec,
-    n_paths: int,
-    seed: int,
-    workers: int,
-    transform: Callable[[np.ndarray, PathBatch, float], _Contribs],
-    r_disc: float,
-) -> dict[str, EstimatorResult]:
-    plan = _plan(model)
-    discount = math.exp(-model.rate * model.grid.maturity)
-    n_chunks = _n_chunks(n_paths)
-
-    def partials(chunk_index: int) -> dict[str, tuple[float, float]]:
-        batch = _compute_batch(plan, seed, chunk_index, n_paths)
-        v = discount * spec.terminal_payoff(batch.terminal)
-        acc = {}
-        for name, c in transform(v, batch, r_disc):
-            acc[name] = (float(np.sum(c)), float(np.sum(c * c)))
-        return acc
-
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map() preserves chunk order, so the reduction below is the
-            # same floating-point sum regardless of worker count.
-            per_chunk = list(pool.map(partials, range(n_chunks)))
-    else:
-        per_chunk = [partials(c) for c in range(n_chunks)]
-
-    names = list(per_chunk[0])
-    results = {}
-    for name in names:
-        total = 0.0
-        total_sq = 0.0
-        for acc in per_chunk:
-            s, s2 = acc[name]
-            total += s
-            total_sq += s2
-        mean = total / n_paths
-        var_num = max(total_sq - total * total / n_paths, 0.0)
-        se = math.sqrt(var_num / (n_paths - 1) / n_paths)
-        results[name] = EstimatorResult(mean=mean, std_error=se, n_paths=n_paths)
-    return results
-
-
-def _assemble(
-    results: dict[str, EstimatorResult],
-    alpha: float,
-    n_paths: int,
-    seed: int,
-) -> PricingReport:
-    q_lower = results["q_lower"]
-    q_indep = results["q_indep"]
-    q_upper = results["q_upper"]
-    q0, q1, q2 = point_estimators(q_lower, q_indep, q_upper)
-    return PricingReport(
-        q_s=results["q_s"],
-        q_lower=q_lower,
-        q_indep=q_indep,
-        q_upper=q_upper,
-        q_exact=results.get("q_exact"),
-        q0=q0,
-        q1=q1,
-        q2=q2,
-        ci=confidence_interval(q_lower, q_upper, alpha),
-        alpha=alpha,
-        n_paths=n_paths,
-        seed=seed,
-    )
-
-
 def price(
     model: MarketModel,
     spec: OptionSpec,
@@ -302,16 +187,69 @@ def price(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     validate(model, spec).raise_if_invalid()
-    if spec.knock == "in":
-        if spec.rebate != 0.0:
-            raise ValueError("rebate is only supported for knock-out options")
-        transform = _knock_in_contribs
-        r_disc = 0.0
+    knock_in = spec.knock == "in"
+    if knock_in and spec.rebate != 0.0:
+        raise ValueError("rebate is only supported for knock-out options")
+    plan = _plan(model)
+    discount = math.exp(-model.rate * model.grid.maturity)
+    r_disc = spec.rebate * discount
+
+    def partials(chunk_index: int) -> list[tuple[float, float]]:
+        batch = _compute_batch(plan, seed, chunk_index, n_paths)
+        v = discount * spec.terminal_payoff(batch.terminal)
+        sums = []
+        # Survival I * W per path for q_s, q_lower, q_indep, q_upper; the
+        # engine's weights already carry I as +0.0 on dead rows.
+        for surv in (batch.alive.astype(float), batch.w_lower, batch.w_indep, batch.w_upper):
+            if knock_in:
+                c = v * (1.0 - surv)
+            else:
+                c = v * surv
+                if r_disc != 0.0:
+                    c = c + r_disc * (1.0 - surv)
+            sums.append((float(np.sum(c)), float(np.sum(c * c))))
+        return sums
+
+    n_chunks = _n_chunks(n_paths)
+    if workers > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # map() preserves chunk order, so the reduction below is the
+            # same floating-point sum regardless of worker count.
+            per_chunk = list(pool.map(partials, range(n_chunks)))
     else:
-        transform = _knock_out_contribs
-        r_disc = spec.rebate * math.exp(-model.rate * model.grid.maturity)
-    results = _reduce(model, spec, n_paths, seed, workers, transform, r_disc)
-    return _assemble(results, alpha, n_paths, seed)
+        per_chunk = [partials(c) for c in range(n_chunks)]
+
+    columns = []
+    for col in zip(*per_chunk):
+        total = 0.0
+        total_sq = 0.0
+        for s, s2 in col:
+            total += s
+            total_sq += s2
+        mean = total / n_paths
+        var_num = max(total_sq - total * total / n_paths, 0.0)
+        se = math.sqrt(var_num / (n_paths - 1) / n_paths)
+        columns.append(EstimatorResult(mean=mean, std_error=se))
+    q_s, q_lower, q_indep, q_upper = columns
+    if knock_in:
+        # The lower no-hit bound yields the upper knock-in price and vice versa.
+        q_lower, q_upper = q_upper, q_lower
+    q0, q1, q2 = point_estimators(q_lower, q_indep, q_upper)
+    return PricingReport(
+        q_s=q_s,
+        q_lower=q_lower,
+        q_indep=q_indep,
+        q_upper=q_upper,
+        # With one event per interval the three weights are equal bit for bit.
+        q_exact=q_upper if plan.exact else None,
+        q0=q0,
+        q1=q1,
+        q2=q2,
+        ci=confidence_interval(q_lower, q_upper, alpha),
+        alpha=alpha,
+        n_paths=n_paths,
+        seed=seed,
+    )
 
 
 def path_contributions(
@@ -339,8 +277,8 @@ def path_contributions(
             "w_indep": batch.w_indep,
             "w_upper": batch.w_upper,
         }
-        if batch.w_exact is not None:
-            cols["w_exact"] = batch.w_exact
+        if batch.exact:
+            cols["w_exact"] = batch.w_upper
         for name, arr in cols.items():
             parts.setdefault(name, []).append(arr)
     return {name: np.concatenate(arrs) for name, arrs in parts.items()}

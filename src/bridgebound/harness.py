@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
 from .analytic import BsParams, down_and_out_call, reference_price
 from .estimators import PricingReport, price
-from .model import load_config
+from .model import MarketModel, OptionSpec, load_config
 
 __all__ = [
     "SweepSpec",
@@ -43,14 +44,12 @@ class SweepSpec:
 
     ``config`` is a shipped config name or a JSON path; every M prices the
     same configuration on a uniform grid with M steps, same seed each time.
-    ``output``, when set, is the path of the CSV that the sweep writes.
     """
 
     config: str
     m_values: tuple[int, ...]
     n_paths: int
     seed: int = 0
-    output: str | Path | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
@@ -105,30 +104,25 @@ def csv_writer(out: TextIO) -> csv.DictWriter:
     return writer
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> dict[int, PricingReport]:
+def run_sweep(
+    spec: SweepSpec, workers: int = 1, out: TextIO | None = None
+) -> dict[int, PricingReport]:
     """Price the configuration at every M in the sweep, in order.
 
-    When ``spec.output`` is set, rows are appended and flushed after each M,
-    so partial results survive an interrupted run.
+    When ``out`` is given, the CSV header and then each M's rows are written
+    to it, flushed after each M, so a long sweep shows its progress and
+    partial results survive an interrupted run.
     """
     label = _config_label(spec.config)
+    writer = None if out is None else csv_writer(out)
     reports: dict[int, PricingReport] = {}
-    out: TextIO | None = None
-    writer = None
-    try:
-        if spec.output is not None:
-            out = open(spec.output, "w", encoding="utf-8", newline="")
-            writer = csv_writer(out)
-        for m in spec.m_values:
-            model, option = load_config(spec.config, steps=m)
-            report = price(model, option, spec.n_paths, seed=spec.seed, workers=workers)
-            reports[m] = report
-            if writer is not None:
-                writer.writerows(report_rows(label, m, report))
-                out.flush()
-    finally:
-        if out is not None:
-            out.close()
+    for m in spec.m_values:
+        model, option = load_config(spec.config, steps=m)
+        report = price(model, option, spec.n_paths, seed=spec.seed, workers=workers)
+        reports[m] = report
+        if writer is not None:
+            writer.writerows(report_rows(label, m, report))
+            out.flush()
     return reports
 
 
@@ -265,11 +259,43 @@ class TableReport:
 
 Z_TOLERANCE = 3.0
 
-# (config, n_paths, {m: {estimator: (published value, published std error)}}).
-# Exact continuous values are added at run time where a closed form exists.
-_TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, float]]]]]] = {
-    1: [
-        (
+
+def _down_and_out_reference(model: MarketModel, option: OptionSpec) -> float:
+    """Closed-form continuous price of a one-asset down-and-out call."""
+    regime = model.regimes[0]
+    return down_and_out_call(
+        BsParams(
+            spot=float(model.spot[0]),
+            strike=option.strike,
+            sigma=float(regime.sigma[0]),
+            rate=model.rate,
+            maturity=model.grid.maturity,
+            barrier=regime.lower[0],
+        )
+    )
+
+
+@dataclass(frozen=True)
+class _Golden:
+    """One config of a published table.
+
+    ``published`` maps M to {estimator: (published value, published std
+    error)}.  ``continuous`` prices the continuously monitored option from
+    the config's default model and option; at the largest M, where the
+    published rows agree with it, the ``vs_continuous`` estimators are
+    checked against it.
+    """
+
+    config: str
+    n_paths: int
+    published: dict[int, dict[str, tuple[float, float]]]
+    continuous: Callable[[MarketModel, OptionSpec], float] | None = None
+    vs_continuous: tuple[str, ...] = ()
+
+
+_TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
+    1: (
+        _Golden(
             "table1a",
             400_000,
             {
@@ -277,17 +303,19 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                 16: {"q_exact": (8.79, 0.02), "q_s": (9.74, 0.02)},
                 1024: {"q_exact": (8.80, 0.02), "q_s": (8.94, 0.02)},
             },
+            _down_and_out_reference,
+            ("q_exact",),
         ),
-        (
+        _Golden(
             "table1b",
             800_000,
-            {
-                1: {"q_exact": (8.26, 0.02), "q_s": (14.93, 0.03)},
-            },
+            {1: {"q_exact": (8.26, 0.02), "q_s": (14.93, 0.03)}},
+            lambda model, option: 8.256,  # published; no elementary closed form
+            ("q_exact",),
         ),
-    ],
-    2: [
-        (
+    ),
+    2: (
+        _Golden(
             "table2",
             400_000,
             {
@@ -307,10 +335,12 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                     "q0": (1.78, 0.01),
                 },
             },
-        )
-    ],
-    3: [
-        (
+            lambda model, option: 1.793,  # published; double barrier series
+            ("q_upper", "q_lower", "q0"),
+        ),
+    ),
+    3: (
+        _Golden(
             "table3_rho0",
             100_000,
             {
@@ -329,8 +359,10 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                     "q0": (3.65, 0.04),
                 },
             },
+            partial(reference_price, 0.0),
+            ("q_indep", "q0"),
         ),
-        (
+        _Golden(
             "table3_rho0.5",
             100_000,
             {
@@ -341,8 +373,10 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                     "q0": (6.55, 0.06),
                 }
             },
+            partial(reference_price, 0.5),
+            ("q0",),
         ),
-        (
+        _Golden(
             "table3_rho-0.5",
             100_000,
             {
@@ -353,16 +387,20 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                     "q0": (1.39, 0.02),
                 }
             },
+            partial(reference_price, -0.5),
+            ("q0",),
         ),
-        (
+        _Golden(
             "table3_rho1",
             100_000,
             {
                 1: {"q_upper": (11.36, 0.06), "q_s": (16.79, 0.08)},
                 64: {"q_upper": (11.34, 0.07), "q0": (11.12, 0.29)},
             },
+            partial(reference_price, 1.0),
+            ("q0",),
         ),
-        (
+        _Golden(
             "table3_rho-1",
             100_000,
             {
@@ -379,10 +417,12 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                     "q0": (0.013, 0.001),
                 },
             },
+            partial(reference_price, -1.0),
+            ("q0",),
         ),
-    ],
-    4: [
-        (
+    ),
+    4: (
+        _Golden(
             "table4_d3",
             100_000,
             {
@@ -404,7 +444,7 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                 },
             },
         ),
-        (
+        _Golden(
             "table4_d10",
             100_000,
             {
@@ -424,57 +464,8 @@ _TABLE_PLAN: dict[int, list[tuple[str, int, dict[int, dict[str, tuple[float, flo
                 },
             },
         ),
-    ],
+    ),
 }
-
-# Continuous-barrier reference per config: correlation for the two-asset
-# reductions, or "doc" for the single-asset closed form.
-_EXACT_KIND: dict[str, float | str] = {
-    "table1a": "doc",
-    "table1b": 8.256,  # published continuous value; no elementary closed form
-    "table2": 1.793,  # published continuous value (double barrier series)
-    "table3_rho0": 0.0,
-    "table3_rho0.5": 0.5,
-    "table3_rho-0.5": -0.5,
-    "table3_rho1": 1.0,
-    "table3_rho-1": -1.0,
-}
-
-# Estimators compared against the continuous value, per config, at the
-# largest default M (where the published rows agree with it).
-_EXACT_AT_LARGEST_M = {
-    "table1a": ("q_exact",),
-    "table1b": ("q_exact",),
-    "table2": ("q_upper", "q_lower", "q0"),
-    "table3_rho0": ("q_indep", "q0"),
-    "table3_rho0.5": ("q0",),
-    "table3_rho-0.5": ("q0",),
-    "table3_rho1": ("q0",),
-    "table3_rho-1": ("q0",),
-}
-
-
-def _exact_value(label: str) -> float | None:
-    kind = _EXACT_KIND.get(label)
-    if kind is None:
-        return None
-    if kind == "doc":
-        model, option = load_config(label)
-        regime = model.regimes[0]
-        return down_and_out_call(
-            BsParams(
-                spot=float(model.spot[0]),
-                strike=option.strike,
-                sigma=float(regime.sigma[0]),
-                rate=model.rate,
-                maturity=model.grid.maturity,
-                barrier=regime.lower[0],
-            )
-        )
-    if isinstance(kind, float) and label.startswith("table3"):
-        model, option = load_config(label)
-        return reference_price(kind, model, option)
-    return float(kind)
 
 
 def reproduce_table(
@@ -494,16 +485,16 @@ def reproduce_table(
         raise ValueError(f"table_id must be one of 1, 2, 3, 4, got {table_id}")
     checks: list[GoldenCheck] = []
     reports: dict[tuple[str, int], PricingReport] = {}
-    for label, default_n, golden in _TABLE_PLAN[table_id]:
-        n = default_n if n_paths is None else n_paths
-        m_values = sorted(golden)
-        exact = _exact_value(label)
+    for golden in _TABLE_PLAN[table_id]:
+        label = golden.config
+        n = golden.n_paths if n_paths is None else n_paths
+        m_values = sorted(golden.published)
         for m in m_values:
             model, option = load_config(label, steps=m)
             report = price(model, option, n, seed=seed, workers=workers)
             reports[(label, m)] = report
             named = report.estimates
-            for est, (target, target_se) in sorted(golden[m].items()):
+            for est, (target, target_se) in sorted(golden.published[m].items()):
                 value, se = named[est]
                 checks.append(_z_check(f"{label} M={m} {est}", value, se, target, target_se))
             checks.append(_ordering_check(label, m, report))
@@ -520,8 +511,9 @@ def reproduce_table(
                         passed=ok,
                     )
                 )
-            if exact is not None and m == m_values[-1]:
-                for est in _EXACT_AT_LARGEST_M.get(label, ()):
+            if m == m_values[-1] and golden.continuous is not None:
+                exact = golden.continuous(*load_config(label))
+                for est in golden.vs_continuous:
                     value, se = named[est]
                     checks.append(
                         _z_check(f"{label} M={m} {est} vs continuous", value, se, exact, 0.0)

@@ -216,19 +216,19 @@ class ValidationReport:
             raise ModelError("; ".join(self.violations))
 
 
-def factor_correlation(corr: np.ndarray, *, min_eigenvalue: float = MIN_EIGENVALUE) -> np.ndarray:
+def factor_correlation(corr: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T equal to ``corr`` within 1e-10.
 
     Strictly positive-definite input takes the plain Cholesky path.  Singular
     or slightly indefinite input falls back to an eigendecomposition:
-    eigenvalues in [min_eigenvalue, 0) are clipped to zero (repair) and the
+    eigenvalues in [MIN_EIGENVALUE, 0) are clipped to zero (repair) and the
     matrix square root is re-triangularized with a QR step, which stays
     lower-triangular at any rank deficiency (e.g. correlation +/-1).
 
     Raises
     ------
     ModelError
-        If the smallest eigenvalue is below ``min_eigenvalue``.
+        If the smallest eigenvalue is below ``MIN_EIGENVALUE``.
     """
     a = np.asarray(corr, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -238,7 +238,7 @@ def factor_correlation(corr: np.ndarray, *, min_eigenvalue: float = MIN_EIGENVAL
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(0.5 * (a + a.T))
-    if w[0] < min_eigenvalue:
+    if w[0] < MIN_EIGENVALUE:
         raise ModelError(
             f"correlation matrix is not positive semi-definite (min eigenvalue {w[0]:.3e})"
         )

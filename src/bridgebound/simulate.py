@@ -69,17 +69,17 @@ class PathBatch:
 
     The batch analog of PathState, keeping only what estimators need:
     terminal prices, the discrete no-hit indicator, and the accumulated
-    per-path no-hit weight under each bound.  ``w_exact`` is present only
-    when every interval has at most one active barrier event.
+    per-path no-hit weight under each bound.  ``exact`` is set when every
+    interval has at most one active barrier event; the three weights are
+    then the exact weight, equal bit for bit.
     """
 
-    first: int
     terminal: np.ndarray
     alive: np.ndarray
     w_lower: np.ndarray
     w_indep: np.ndarray
     w_upper: np.ndarray
-    w_exact: np.ndarray | None
+    exact: bool
 
 
 def _stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -217,13 +217,12 @@ def _compute_batch(plan: _EnginePlan, seed: int, chunk_index: int, n_paths: int)
     w_upper *= alive
 
     return PathBatch(
-        first=chunk_index * CHUNK,
         terminal=np.exp(x1[:rows]),
         alive=alive[:rows],
         w_lower=w_lower[:rows],
         w_indep=w_indep[:rows],
         w_upper=w_upper[:rows],
-        w_exact=w_upper[:rows].copy() if plan.exact else None,
+        exact=plan.exact,
     )
 
 

@@ -10,8 +10,6 @@ import pytest
 
 from bridgebound.estimators import (
     EstimatorResult,
-    _knock_in_contribs,
-    _knock_out_contribs,
     confidence_interval,
     path_contributions,
     point_estimators,
@@ -25,7 +23,7 @@ from bridgebound.model import (
     TimeGrid,
     load_config,
 )
-from bridgebound.simulate import CHUNK, path_batches
+from bridgebound.simulate import CHUNK
 
 Z_95 = 1.959963984540054
 
@@ -39,16 +37,16 @@ def barrier_free_model(d=1, sigma=0.3, rate=0.1, maturity=0.5, steps=1, corr=Non
 
 class TestPointEstimators:
     def test_midpoints_and_spreads(self):
-        lo = EstimatorResult(mean=1.0, std_error=0.1, n_paths=100)
-        mid = EstimatorResult(mean=2.0, std_error=0.2, n_paths=100)
-        hi = EstimatorResult(mean=4.0, std_error=0.3, n_paths=100)
+        lo = EstimatorResult(mean=1.0, std_error=0.1)
+        mid = EstimatorResult(mean=2.0, std_error=0.2)
+        hi = EstimatorResult(mean=4.0, std_error=0.3)
         q0, q1, q2 = point_estimators(lo, mid, hi)
         assert q0.value == 2.5 and q0.std_error == pytest.approx(1.5 + 0.2)
         assert q1.value == 1.5 and q1.std_error == pytest.approx(0.5 + 0.15)
         assert q2.value == 3.0 and q2.std_error == pytest.approx(1.0 + 0.25)
 
     def test_collapsed_bracket_keeps_statistical_error(self):
-        a = EstimatorResult(mean=5.0, std_error=0.2, n_paths=100)
+        a = EstimatorResult(mean=5.0, std_error=0.2)
         q0, _, _ = point_estimators(a, a, a)
         assert q0.value == 5.0
         assert q0.std_error == pytest.approx(0.2)
@@ -56,21 +54,21 @@ class TestPointEstimators:
 
 class TestConfidenceInterval:
     def test_two_sided_95(self):
-        lo = EstimatorResult(mean=1.0, std_error=0.5, n_paths=100)
-        hi = EstimatorResult(mean=3.0, std_error=0.25, n_paths=100)
+        lo = EstimatorResult(mean=1.0, std_error=0.5)
+        hi = EstimatorResult(mean=3.0, std_error=0.25)
         ci = confidence_interval(lo, hi, alpha=0.05)
         assert ci[0] == pytest.approx(1.0 - Z_95 * 0.5, rel=1e-12)
         assert ci[1] == pytest.approx(3.0 + Z_95 * 0.25, rel=1e-12)
 
     def test_narrower_at_larger_alpha(self):
-        lo = EstimatorResult(mean=1.0, std_error=0.5, n_paths=100)
-        hi = EstimatorResult(mean=3.0, std_error=0.5, n_paths=100)
+        lo = EstimatorResult(mean=1.0, std_error=0.5)
+        hi = EstimatorResult(mean=3.0, std_error=0.5)
         wide = confidence_interval(lo, hi, alpha=0.01)
         narrow = confidence_interval(lo, hi, alpha=0.5)
         assert wide[0] < narrow[0] < narrow[1] < wide[1]
 
     def test_alpha_validated(self):
-        lo = EstimatorResult(mean=1.0, std_error=0.5, n_paths=100)
+        lo = EstimatorResult(mean=1.0, std_error=0.5)
         with pytest.raises(ValueError, match="alpha"):
             confidence_interval(lo, lo, alpha=0.0)
 
@@ -228,23 +226,22 @@ class TestKnockInParity:
         assert ko.q_indep.mean + ki.q_indep.mean == pytest.approx(target, abs=1e-12)
         assert ko.q_s.mean + ki.q_s.mean == pytest.approx(target, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "config, steps", [("table1b", 4), ("table4_d3", None)], ids=["table1b", "table4_d3"]
-    )
-    def test_path_level_parity_through_contribs(self, config, steps):
-        """Per path, each knock-out column plus the knock-in column it is
-        reported as (q_lower and q_upper swap) is the payoff itself."""
-        model, spec = load_config(config, steps=steps)
-        discount = math.exp(-model.rate * model.grid.maturity)
-        swap = {"q_lower": "q_upper", "q_upper": "q_lower"}
-        for batch in path_batches(model, CHUNK + 500, seed=6):
-            v = discount * spec.terminal_payoff(batch.terminal)
-            knock_in = dict(_knock_in_contribs(v, batch, 0.0))
-            knock_out = _knock_out_contribs(v, batch, 0.0)
-            assert sorted(knock_in) == sorted(name for name, _ in knock_out)
-            for name, c in knock_out:
-                total = c + knock_in[swap.get(name, name)]
-                assert np.allclose(total, v, rtol=1e-12, atol=0.0), name
+    @pytest.mark.parametrize("config", ["table4_d3", "table1b"])
+    def test_parity_pairs_swapped_bounds_with_the_barrier_free_price(self, config):
+        """Knock-out plus knock-in is the vanilla price, column by column once
+        knock-in's q_lower and q_upper swap.  The barrier-free copy walks the
+        same paths, so its q_s is the vanilla price on those paths."""
+        model, spec = load_config(config)
+        n = CHUNK + 500
+        ko = price(model, spec, n, seed=6)
+        ki = price(model, replace(spec, knock="in"), n, seed=6)
+        free = replace(
+            model, regimes=tuple(replace(r, lower=None, upper=None) for r in model.regimes)
+        )
+        target = price(free, spec, n, seed=6).q_s.mean
+        assert ko.q_upper.mean + ki.q_lower.mean == pytest.approx(target, rel=1e-12)
+        assert ko.q_lower.mean + ki.q_upper.mean == pytest.approx(target, rel=1e-12)
+        assert ko.q_indep.mean + ki.q_indep.mean == pytest.approx(target, rel=1e-12)
 
     def test_price_dispatches_on_knock_field(self):
         model, spec = load_config("table1a", steps=2)

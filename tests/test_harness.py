@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import pytest
@@ -118,18 +119,37 @@ class TestEstimatorTable:
 
 
 class TestRunSweep:
-    def test_reports_and_csv_roundtrip(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        spec = SweepSpec(config="table2", m_values=(1, 2), n_paths=3000, seed=5, output=out)
-        reports = run_sweep(spec)
+    def test_reports_and_csv_roundtrip(self):
+        out = io.StringIO()
+        spec = SweepSpec(config="table2", m_values=(1, 2), n_paths=3000, seed=5)
+        reports = run_sweep(spec, out=out)
         assert sorted(reports) == [1, 2]
-        with open(out, encoding="utf-8", newline="") as fh:
-            rows = {(int(r["m"]), r["estimator"]): r for r in csv.DictReader(fh)}
+        out.seek(0)
+        rows = {(int(r["m"]), r["estimator"]): r for r in csv.DictReader(out)}
         for m, report in reports.items():
             q_upper = rows[(m, "q_upper")]
             assert float(q_upper["mean"]) == report.q_upper.mean
             assert float(q_upper["std_error"]) == report.q_upper.std_error
             assert float(rows[(m, "ci_low")]["mean"]) == report.ci[0]
+
+    def test_rows_flushed_after_each_m(self):
+        """Each M's rows reach the stream, flushed, before the next M is priced."""
+
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.flushed = []
+
+            def flush(self):
+                self.flushed.append(self.getvalue())
+
+        out = Recorder()
+        run_sweep(SweepSpec(config="table2", m_values=(1, 2), n_paths=2000), out=out)
+        assert len(out.flushed) == 2
+        header, *first = out.flushed[0].splitlines()
+        assert header == ",".join(CSV_HEADER)
+        assert {row.split(",")[1] for row in first} == {"1"}
+        assert out.flushed[1] == out.getvalue()
 
     def test_same_seed_every_m(self, tmp_path):
         """Each M prices the same paths, so M=1 rows match a direct run."""
@@ -139,10 +159,10 @@ class TestRunSweep:
         direct = price(model, option, 3000, seed=7)
         assert reports[1].to_dict() == direct.to_dict()
 
-    def test_config_label_strips_extension(self, tmp_path):
-        out = tmp_path / "label.csv"
-        run_sweep(SweepSpec(config="table2.json", m_values=(1,), n_paths=2000, output=out))
-        text = out.read_text()
+    def test_config_label_strips_extension(self):
+        out = io.StringIO()
+        run_sweep(SweepSpec(config="table2.json", m_values=(1,), n_paths=2000), out=out)
+        text = out.getvalue()
         assert "table2," in text
         assert "table2.json" not in text
 

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from bridgebound.bridge import IntervalContext, interval_weights
 from bridgebound.estimators import path_contributions
-from bridgebound.model import MarketModel, Regime, TimeGrid, load_config
+from bridgebound.model import MarketModel, Regime, TimeGrid, config_path, load_config
 from bridgebound.simulate import CHUNK, PathState, path_batches, simulate_path
+
+BUNDLED = sorted(p.stem for p in config_path("table1a").parent.glob("*.json"))
 
 
 def flat_model(d=1, spot=100.0, sigma=0.3, rate=0.1, corr=None, lower=None, upper=None,
@@ -86,7 +88,6 @@ class TestSimulatePath:
         model, _ = load_config("table1a")
         state = simulate_path(model, CHUNK + 11, seed=3)
         batches = list(path_batches(model, CHUNK + 20, seed=3))
-        assert batches[1].first == CHUNK
         assert batches[1].terminal[11, 0] == state.values[-1, 0]
 
     def test_alive_matches_recomputed_indicator(self):
@@ -129,7 +130,7 @@ class TestPathBatches:
     def test_chunk_partitioning(self):
         model, _ = load_config("table1a")
         batches = list(path_batches(model, CHUNK + 3, seed=0))
-        assert [b.first for b in batches] == [0, CHUNK]
+        assert len(batches) == 2
         assert len(batches[0].terminal) == CHUNK
         assert len(batches[1].terminal) == 3
         for batch in batches:
@@ -147,15 +148,14 @@ class TestPathBatches:
     def test_single_event_weights_coincide(self):
         model, _ = load_config("table1a")
         batch = next(path_batches(model, 1000, seed=0))
-        assert batch.w_exact is not None
+        assert batch.exact
         assert np.array_equal(batch.w_lower, batch.w_upper)
         assert np.array_equal(batch.w_indep, batch.w_upper)
-        assert np.array_equal(batch.w_exact, batch.w_upper)
 
     def test_double_barrier_weights_ordered_with_no_exact(self):
         model, _ = load_config("table2")
         batch = next(path_batches(model, 5000, seed=0))
-        assert batch.w_exact is None
+        assert not batch.exact
         assert np.all(batch.w_lower <= batch.w_indep)
         assert np.all(batch.w_indep <= batch.w_upper)
         assert np.all((batch.w_lower >= 0.0) & (batch.w_upper <= 1.0))
@@ -176,11 +176,10 @@ class TestPathBatches:
             batch = next(path_batches(model, CHUNK, seed=0))
             dead = ~batch.alive
             assert dead.any()
-            for name in ("w_lower", "w_indep", "w_upper", "w_exact"):
+            for name in ("w_lower", "w_indep", "w_upper"):
                 w = getattr(batch, name)
-                if w is not None:
-                    assert np.all(w[dead] == 0.0), (label, name)
-                    assert not np.signbit(w[dead]).any(), (label, name)
+                assert np.all(w[dead] == 0.0), (label, name)
+                assert not np.signbit(w[dead]).any(), (label, name)
 
     def test_weights_one_when_no_barriers(self):
         model = flat_model(d=2, corr=[[1.0, 0.5], [0.5, 1.0]])
@@ -189,8 +188,21 @@ class TestPathBatches:
         assert np.all(batch.w_upper == 1.0)
         assert np.all(batch.alive)
 
+    @pytest.mark.parametrize("steps", [None, 3], ids=["default_m", "m3"])
+    @pytest.mark.parametrize("cfg", BUNDLED)
+    def test_bound_chain_holds_path_by_path(self, cfg, steps):
+        """0 <= I*W_lower <= I*W_indep <= I*W_upper <= I on every row."""
+        model, _ = load_config(cfg, steps=steps)
+        for batch in path_batches(model, CHUNK + 100, seed=5):
+            alive = batch.alive.astype(float)
+            chain = [np.zeros_like(alive)]
+            chain += [alive * w for w in (batch.w_lower, batch.w_indep, batch.w_upper)]
+            chain.append(alive)
+            for k, (lo, hi) in enumerate(zip(chain, chain[1:])):
+                assert np.all(lo <= hi), (cfg, steps, k)
 
-_FIELDS = ("terminal", "alive", "w_lower", "w_indep", "w_upper", "w_exact")
+
+_FIELDS = ("terminal", "alive", "w_lower", "w_indep", "w_upper")
 
 
 @functools.cache
@@ -203,11 +215,7 @@ def _columns(cfg: str, n: int) -> dict[str, np.ndarray]:
     """
     model, _ = load_config(cfg, steps=3)
     batches = list(path_batches(model, n, seed=7))
-    return {
-        name: np.concatenate([getattr(b, name) for b in batches])
-        for name in _FIELDS
-        if getattr(batches[0], name) is not None
-    }
+    return {name: np.concatenate([getattr(b, name) for b in batches]) for name in _FIELDS}
 
 
 class TestRowCount:
