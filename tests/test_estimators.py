@@ -226,18 +226,22 @@ class TestKnockInParity:
         assert ko.q_indep.mean + ki.q_indep.mean == pytest.approx(target, abs=1e-12)
         assert ko.q_s.mean + ki.q_s.mean == pytest.approx(target, abs=1e-12)
 
-    @pytest.mark.parametrize("config", ["table4_d3", "table1b"])
-    def test_parity_pairs_swapped_bounds_with_the_barrier_free_price(self, config):
-        """Knock-out plus knock-in is the vanilla price, column by column once
-        knock-in's q_lower and q_upper swap.  The barrier-free copy walks the
-        same paths, so its q_s is the vanilla price on those paths."""
+    @pytest.mark.parametrize("config", ["table1b", "table4_d3"])
+    def test_path_level_parity_through_contribs(self, config):
+        """Knock-out plus knock-in is the payoff on every path, so the two
+        prices sum to the vanilla price, column by column once knock-in's
+        q_lower and q_upper swap.  The barrier-free copy walks the same
+        paths: its per-path payoffs are the barrier model's, so its q_s is
+        the vanilla price on those paths."""
         model, spec = load_config(config)
         n = CHUNK + 500
-        ko = price(model, spec, n, seed=6)
-        ki = price(model, replace(spec, knock="in"), n, seed=6)
         free = replace(
             model, regimes=tuple(replace(r, lower=None, upper=None) for r in model.regimes)
         )
+        payoff = path_contributions(model, spec, n, seed=6)["payoff"]
+        assert np.array_equal(payoff, path_contributions(free, spec, n, seed=6)["payoff"])
+        ko = price(model, spec, n, seed=6)
+        ki = price(model, replace(spec, knock="in"), n, seed=6)
         target = price(free, spec, n, seed=6).q_s.mean
         assert ko.q_upper.mean + ki.q_lower.mean == pytest.approx(target, rel=1e-12)
         assert ko.q_lower.mean + ki.q_upper.mean == pytest.approx(target, rel=1e-12)
