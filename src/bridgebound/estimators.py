@@ -195,8 +195,10 @@ def price(
     r_disc = spec.rebate * discount
 
     def partials(chunk_index: int) -> list[tuple[float, float]]:
-        batch = _compute_batch(plan, seed, chunk_index, n_paths)
-        v = discount * spec.terminal_payoff(batch.terminal)
+        # A knock-out contribution reads nothing of a dead row, so its walk
+        # drops them and the payoff sees the alive rows' terminals only.
+        batch = _compute_batch(plan, seed, chunk_index, n_paths, compact=not knock_in)
+        v = discount * spec.terminal_payoff(batch.terminal) if len(batch.terminal) else 0.0
         sums = []
         # Survival I * W per path for q_s, q_lower, q_indep, q_upper; the
         # engine's weights already carry I as +0.0 on dead rows.
@@ -204,7 +206,10 @@ def price(
             if knock_in:
                 c = v * (1.0 - surv)
             else:
-                c = v * surv
+                # v * surv with a dead row's +0.0 filled in, at full length,
+                # so the sums below add the same terms in the same order.
+                c = np.zeros(len(surv))
+                c[batch.alive] = v * surv[batch.alive]
                 if r_disc != 0.0:
                     c = c + r_disc * (1.0 - surv)
             sums.append((float(np.sum(c)), float(np.sum(c * c))))

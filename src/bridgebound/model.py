@@ -169,7 +169,9 @@ class OptionSpec:
     ``kind`` is one of ``"call"`` (pays max[S_k(T) - K, 0]), ``"digital"``
     (pays 1 if S_k(T) > K), or ``"custom"`` with a ``payoff`` hook mapping
     terminal prices of shape (n, d) to finite undiscounted payoffs of shape
-    (n,); any other output raises ModelError.
+    (n,); any other output raises ModelError.  A knock-out price passes the
+    hook only the paths that survive to maturity; the payoff of a knocked-out
+    path is never read.
     ``rebate`` is paid at maturity if the option knocks out.
     """
 

@@ -2,14 +2,16 @@
 
 Paths are simulated in fixed chunks of :data:`CHUNK` paths.  Each chunk owns
 a counter-based random stream (Philox) keyed by ``seed * 2**64 + chunk``,
-and draws inside a chunk are consumed step-major: at each step the chunk
-generates a full (CHUNK, d) block of uniforms, maps them through the normal
-inverse CDF (one uniform per normal), and correlates them with the regime's
-factor.  A chunk that keeps fewer paths (the tail chunk, or the chunk
-``simulate_path`` regenerates) still generates the full uniform block, so
-the counter stays aligned and the draw behind path i never depends on the
-total path count, but it maps, correlates and advances only the rows it
-keeps.  Together these make every output a pure function of
+and draws inside a chunk are consumed step-major: each step owns the next
+(CHUNK, d) block of uniforms, one uniform per normal.  A chunk draws only
+the leading rows of that block that it walks and then advances the counter
+past the rest, so the draw behind path i never depends on the total path
+count.  It maps the walked rows through the normal inverse CDF, correlates
+them with the regime's factor and advances them.  A knock-out price needs
+nothing from a row once it touches a barrier, so its walk drops dead rows:
+when fewer than half of the walked rows are alive it gathers the alive
+ones, and from then on draws up to the last of them and keeps only theirs.
+Together these make every output a pure function of
 (seed, n_paths, model) no matter how chunks are scheduled across workers.
 
 Prices evolve in log space; exponentials happen only where prices are
@@ -43,9 +45,10 @@ CHUNK = 32768
 # half an ulp below the smallest positive draw is statistically invisible.
 _U_FLOOR = 2.0**-54
 
-# Fewest rows a chunk walks.  numpy hands a one-row matrix product to gemv,
-# which can round the correlated draws differently in the last bit from the
-# same row of a many-row product; from two rows on the rows agree.
+# Fewest rows a chunk walks, also after dropping dead rows.  numpy hands a
+# one-row matrix product to gemv, which can round the correlated draws
+# differently in the last bit from the same row of a many-row product; from
+# two rows on, any subset of rows agrees with the full product.
 _MIN_ROWS = 2
 
 
@@ -71,7 +74,9 @@ class PathBatch:
     terminal prices, the discrete no-hit indicator, and the accumulated
     per-path no-hit weight under each bound.  ``exact`` is set when every
     interval has at most one active barrier event; the three weights are
-    then the exact weight, equal bit for bit.
+    then the exact weight, equal bit for bit.  A batch walked with dead rows
+    dropped carries the terminal prices of its alive rows only, in row
+    order; ``alive`` and the weights always cover every row.
     """
 
     terminal: np.ndarray
@@ -89,11 +94,44 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk_index))
 
 
-def _normal_block(gen: np.random.Generator, d: int, rows: int) -> np.ndarray:
-    # The whole block is drawn whatever ``rows`` is, to keep the counter aligned.
-    u = gen.random((CHUNK, d))[:rows]
+def _normal_block(gen: np.random.Generator, d: int, index: np.ndarray) -> np.ndarray:
+    """Normals for the chunk rows ``index`` (increasing) from the step's (CHUNK, d) block.
+
+    Draws the block's rows up to the last of ``index`` and advances the
+    counter past the rest, so the next step starts at the next block.
+    """
+    rows = int(index[-1]) + 1
+    # One Philox4x64 counter step yields four doubles, so draw whole steps;
+    # CHUNK makes the whole block whole steps too.
+    n = -(-rows * d // 4) * 4
+    u = gen.random(n)[: rows * d].reshape(rows, d)
+    if n < CHUNK * d:
+        gen.bit_generator.advance((CHUNK * d - n) // 4)
+    if len(index) < rows:
+        u = u[index]
     np.fmax(u, _U_FLOOR, out=u)
     return ndtri(u, out=u)
+
+
+class _Rows:
+    """The rows a walk carries, gathered together when it drops dead rows.
+
+    ``index`` is each walked row's position in the chunk, increasing;
+    ``alive`` its discrete no-hit flag, which the walk clears in place; and
+    ``weights`` the per-row arrays that the walk's consumer accumulates.
+    Read the attributes afresh at every step: gathering replaces them.
+    """
+
+    def __init__(self, walked: int, live: int, n_weights: int = 0):
+        self.index = np.arange(walked)
+        # Rows past ``live`` are walked only to reach _MIN_ROWS.
+        self.alive = self.index < live
+        self.weights = [np.ones(walked) for _ in range(n_weights)]
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.index = self.index[keep]
+        self.alive = self.alive[keep]
+        self.weights = [w[keep] for w in self.weights]
 
 
 @dataclass(frozen=True)
@@ -162,43 +200,60 @@ def _apply_event_alive(alive: np.ndarray, x0: np.ndarray, x1: np.ndarray, ev: _E
         alive &= (x0[:, ev.asset] < ev.log_level) & (x1[:, ev.asset] < ev.log_level)
 
 
-def _walk(plan: _EnginePlan, seed: int, chunk_index: int, alive: np.ndarray):
-    """Walk the first ``len(alive)`` paths of one chunk: yield ``(kernel, x0, x1)`` per step.
+def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact: bool = False):
+    """Walk the rows ``state`` carries of one chunk: yield ``(kernel, x0, x1)`` per step.
 
-    Each step draws the chunk's full uniform block but transforms only the
-    walked rows.  ``x0`` and ``x1`` are their (len(alive), d) log prices at
-    the step's ends, in two buffers that the walk reuses: read them before
-    the next step.  ``alive`` is cleared in place where a path's sampled
-    endpoints touch or cross a barrier of the step.
+    ``x0`` and ``x1`` are the walked rows' log prices at the step's ends, in
+    two buffers that the walk reuses: read them before the next step.
+    ``state.alive`` is cleared in place where a path's sampled endpoints
+    touch or cross a barrier of the step.  With ``compact``, a step that
+    finds fewer than half of the walked rows alive first gathers the alive
+    ones (with a dead one if needed to keep _MIN_ROWS), and a step that
+    finds none ends the walk.
     """
     gen = _stream(seed, chunk_index)
-    rows = len(alive)
     d = plan.d
-    x0 = np.broadcast_to(plan.log_spot, (rows, d)).copy()
+    x0 = np.broadcast_to(plan.log_spot, (len(state.index), d)).copy()
     x1 = np.empty_like(x0)
     for kernel in plan.steps:
-        z = _normal_block(gen, d, rows)
+        if compact:
+            live = np.count_nonzero(state.alive)
+            if not live:
+                return
+            if 2 * live < len(state.index):
+                keep = np.flatnonzero(state.alive)
+                if live < _MIN_ROWS:
+                    keep = np.array([0, max(keep[0], 1)])
+                state.keep(keep)
+                # Gather into the front of the spare buffer; both buffers
+                # keep their first len(keep) rows from here on.
+                x1[: len(keep)] = x0[keep]
+                x0, x1 = x1[: len(keep)], x0[: len(keep)]
+        z = _normal_block(gen, d, state.index)
         np.add(x0, kernel.drift, out=x1)
         if kernel.factor is not None:
             z = z @ kernel.factor.T
         z *= kernel.vol
         x1 += z
         for ev in kernel.events:
-            _apply_event_alive(alive, x0, x1, ev)
+            _apply_event_alive(state.alive, x0, x1, ev)
         yield kernel, x0, x1
         x0, x1 = x1, x0
 
 
-def _compute_batch(plan: _EnginePlan, seed: int, chunk_index: int, n_paths: int) -> PathBatch:
-    """Simulate the paths of one chunk that lie among the first ``n_paths``."""
+def _compute_batch(
+    plan: _EnginePlan, seed: int, chunk_index: int, n_paths: int, compact: bool = False
+) -> PathBatch:
+    """Simulate the paths of one chunk that lie among the first ``n_paths``.
+
+    With ``compact`` the walk drops dead rows, and the batch carries the
+    terminal prices of the alive rows only.
+    """
     rows = min(CHUNK, n_paths - chunk_index * CHUNK)
     walked = max(rows, _MIN_ROWS)
-    w_lower = np.ones(walked)
-    w_indep = np.ones(walked)
-    w_upper = np.ones(walked)
-    alive = np.ones(walked, dtype=bool)
+    state = _Rows(walked, rows, n_weights=3)
     x1 = np.broadcast_to(plan.log_spot, (walked, plan.d))  # a grid without steps
-    for kernel, x0, x1 in _walk(plan, seed, chunk_index, alive):
+    for kernel, x0, x1 in _walk(plan, seed, chunk_index, state, compact):
         if kernel.events:
             # Rows that touch a barrier are dead, and the alive mask zeroes
             # their weights below, so the hit probability is taken as if
@@ -207,21 +262,29 @@ def _compute_batch(plan: _EnginePlan, seed: int, chunk_index: int, n_paths: int)
                 _xi_inside(x0[:, ev.asset], x1[:, ev.asset], ev.log_level, ev.variance)
                 for ev in kernel.events
             )
-            p_lower, p_indep, p_upper = _combine(xis)
-            w_lower *= p_lower
-            w_indep *= p_indep
-            w_upper *= p_upper
+            for w, p in zip(state.weights, _combine(xis)):
+                w *= p
     # Weights lie in [0, 1], so a dead row becomes +0.0.
-    w_lower *= alive
-    w_indep *= alive
-    w_upper *= alive
-
+    for w in state.weights:
+        w *= state.alive
+    if compact:
+        terminal = np.exp(x1[state.alive])
+        # Rows that the walk dropped are dead: False, and +0.0 weights.
+        cols = []
+        for kept in (state.alive, *state.weights):
+            full = np.zeros(walked, kept.dtype)
+            full[state.index] = kept
+            cols.append(full)
+    else:
+        terminal = np.exp(x1[:rows])
+        cols = [state.alive, *state.weights]
+    alive, w_lower, w_indep, w_upper = (col[:rows] for col in cols)
     return PathBatch(
-        terminal=np.exp(x1[:rows]),
-        alive=alive[:rows],
-        w_lower=w_lower[:rows],
-        w_indep=w_indep[:rows],
-        w_upper=w_upper[:rows],
+        terminal=terminal,
+        alive=alive,
+        w_lower=w_lower,
+        w_indep=w_indep,
+        w_upper=w_upper,
         exact=plan.exact,
     )
 
@@ -250,7 +313,8 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
     chunk_index, row = divmod(path_index, CHUNK)
     values = np.empty((len(plan.steps) + 1, plan.d))
     values[0] = model.spot
-    alive = np.ones(max(row + 1, _MIN_ROWS), dtype=bool)
-    for m, (_, _, x1) in enumerate(_walk(plan, seed, chunk_index, alive)):
+    walked = max(row + 1, _MIN_ROWS)
+    state = _Rows(walked, walked)
+    for m, (_, _, x1) in enumerate(_walk(plan, seed, chunk_index, state)):
         values[m + 1] = np.exp(x1[row])
-    return PathState(values=values, alive_discrete=bool(alive[row]), path_index=path_index)
+    return PathState(values=values, alive_discrete=bool(state.alive[row]), path_index=path_index)

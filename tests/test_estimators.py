@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgebound.estimators import (
     EstimatorResult,
@@ -21,9 +23,12 @@ from bridgebound.model import (
     OptionSpec,
     Regime,
     TimeGrid,
+    config_path,
     load_config,
 )
 from bridgebound.simulate import CHUNK
+
+BUNDLED = sorted(p.stem for p in config_path("table1a").parent.glob("*.json"))
 
 Z_95 = 1.959963984540054
 
@@ -140,6 +145,23 @@ class TestPayoffHook:
         with pytest.raises(ModelError, match=message):
             path_contributions(model, spec, 1000, seed=1)
 
+    def test_knock_out_hook_sees_surviving_rows_only(self):
+        """A knock-out price evaluates the hook on the paths alive at maturity;
+        knock-in and path_contributions evaluate it on every path."""
+        model, _ = load_config("table4_d3", steps=4)
+        n = CHUNK + 5
+        alive = int(path_contributions(model, OptionSpec(), n, seed=1)["alive"].sum())
+        seen = []
+
+        def hook(s):
+            seen.append(len(s))
+            return np.maximum(s[:, 0] - 100.0, 0.0)
+
+        for knock, expected in (("out", alive), ("in", n)):
+            seen.clear()
+            price(model, OptionSpec(kind="custom", knock=knock, payoff=hook), n, seed=1)
+            assert sum(seen) == expected, knock
+
 
 class TestPricingReport:
     def test_no_barriers_all_estimators_coincide(self):
@@ -207,6 +229,23 @@ class TestPricingReport:
         serial = price(model, spec, 3 * 32768 + 17, seed=3, workers=1)
         threaded = price(model, spec, 3 * 32768 + 17, seed=3, workers=4)
         assert serial.to_dict() == threaded.to_dict()
+
+    @given(
+        cfg=st.sampled_from(BUNDLED),
+        steps=st.sampled_from([None, 3, 8]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        n_paths=st.integers(min_value=CHUNK + 1, max_value=2 * CHUNK + 100),
+        contract=st.sampled_from(["out", "in", "rebate"]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_worker_count_invariance_property(self, cfg, steps, seed, n_paths, contract):
+        """Same seed, same report at 1, 2 and 3 workers, for any config and path count."""
+        model, spec = load_config(cfg, steps=steps)
+        spec = replace(spec, knock="in" if contract == "in" else "out",
+                       rebate=2.5 if contract == "rebate" else 0.0)
+        serial = price(model, spec, n_paths, seed=seed, workers=1).to_dict()
+        for workers in (2, 3):
+            assert price(model, spec, n_paths, seed=seed, workers=workers).to_dict() == serial
 
 
 class TestKnockInParity:

@@ -11,9 +11,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgebound.bridge import IntervalContext, interval_weights
-from bridgebound.estimators import path_contributions
-from bridgebound.model import MarketModel, Regime, TimeGrid, config_path, load_config
-from bridgebound.simulate import CHUNK, PathState, path_batches, simulate_path
+from bridgebound.estimators import path_contributions, price
+from bridgebound.model import MarketModel, OptionSpec, Regime, TimeGrid, config_path, load_config
+from bridgebound.simulate import (
+    CHUNK,
+    PathState,
+    _compute_batch,
+    _n_chunks,
+    _plan,
+    _Rows,
+    _walk,
+    path_batches,
+    simulate_path,
+)
 
 BUNDLED = sorted(p.stem for p in config_path("table1a").parent.glob("*.json"))
 
@@ -242,6 +252,135 @@ class TestRowCount:
             state = simulate_path(model, i, seed=7)
             assert np.array_equal(state.values[-1], full["terminal"][i]), cfg
             assert state.alive_discrete == bool(full["alive"][i]), cfg
+
+
+class TestGatheredProducts:
+    """Dropping dead rows correlates a gathered subset of a chunk's normals;
+    each row must come out as it does in the whole chunk's product."""
+
+    @pytest.mark.parametrize("cfg", ["table4_d10", "table4_d3", "table3_rho0.5"])
+    def test_row_subsets_match_full_product(self, cfg):
+        model, _ = load_config(cfg)
+        factor = _plan(model).steps[0].factor
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((CHUNK, model.d))
+        full = z @ factor.T
+        for size in (2, 3, 5, 64, 1697, CHUNK // 2, CHUNK - 1):
+            for ordered in (True, False):
+                idx = rng.choice(CHUNK, size, replace=False)
+                if ordered:
+                    idx.sort()
+                assert (z[idx] @ factor.T).tobytes() == full[idx].tobytes(), (size, ordered)
+
+
+def _assert_compact_batch_is_full_walk(model, n, seed=7):
+    """alive, the weights (as bytes, +0.0 on dead rows) and the alive rows'
+    terminals of a walk that drops dead rows equal those of the full walk."""
+    plan = _plan(model)
+    for chunk in range(_n_chunks(n)):
+        full = _compute_batch(plan, seed, chunk, n)
+        compact = _compute_batch(plan, seed, chunk, n, compact=True)
+        assert compact.alive.tobytes() == full.alive.tobytes(), chunk
+        for name in ("w_lower", "w_indep", "w_upper"):
+            assert getattr(compact, name).tobytes() == getattr(full, name).tobytes(), (chunk, name)
+        assert compact.terminal.tobytes() == full.terminal[full.alive].tobytes(), chunk
+        assert compact.exact == full.exact
+
+
+def _walk_history(model, rows, seed=7):
+    """(walked rows, alive rows) after each step of a compacting walk of one chunk."""
+    state = _Rows(rows, rows)
+    return [(len(state.index), int(state.alive.sum()))
+            for _ in _walk(_plan(model), seed, 0, state, compact=True)]
+
+
+def _box_model(steps=16):
+    """Three correlated assets between barriers at 97 and 103: most rows die
+    at the first date, and at seed 7 a 1000-row chunk keeps 60, then one."""
+    corr = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
+    regime = Regime(mu=[0.1] * 3, sigma=[0.3] * 3, corr=corr,
+                    lower=[97.0] * 3, upper=[103.0] * 3)
+    return MarketModel(spot=[100.0] * 3, rate=0.1, grid=TimeGrid.uniform(1.0, steps),
+                       regimes=(regime,))
+
+
+class TestDeadRowsDropped:
+    """A knock-out price walks only the rows that are still alive."""
+
+    @pytest.mark.parametrize("n", [2, 3, 1697, CHUNK + 1])
+    @pytest.mark.parametrize("steps", [None, 3], ids=["default_m", "m3"])
+    @pytest.mark.parametrize("cfg", BUNDLED)
+    def test_compact_batch_is_the_full_walk(self, cfg, steps, n):
+        model, _ = load_config(cfg, steps=steps)
+        _assert_compact_batch_is_full_walk(model, n)
+
+    def test_rows_are_dropped(self, monkeypatch):
+        """The comparisons above are not vacuous: table4_d10 at M=3 gathers."""
+        kept = []
+        keep = _Rows.keep
+        monkeypatch.setattr(_Rows, "keep", lambda self, k: (kept.append(len(k)), keep(self, k)))
+        model, _ = load_config("table4_d10", steps=3)
+        _compute_batch(_plan(model), 7, 0, CHUNK, compact=True)
+        assert kept and all(2 <= k < CHUNK // 2 for k in kept)
+
+    def test_every_row_dies_and_one_row_is_padded(self):
+        """Keeping one alive row walks a dead one beside it; no alive row ends the walk."""
+        model = _box_model()
+        assert _walk_history(model, 1000) == [(1000, 60), (60, 1), (2, 0)]
+        _assert_compact_batch_is_full_walk(model, 1000)
+
+    def test_spot_on_barrier_ends_walk_after_first_step(self):
+        model = flat_model(d=2, corr=[[1.0, 0.3], [0.3, 1.0]], lower=[100.0, None], steps=4)
+        assert _walk_history(model, 50) == [(50, 0)]
+        _assert_compact_batch_is_full_walk(model, 50)
+
+    @pytest.mark.parametrize("row", [0, 1, 3])
+    def test_lone_alive_row_is_walked_as_in_full_chunk(self, row):
+        """A gathered lone row, padded to two, gets the full chunk's prices."""
+        model, _ = load_config("table4_d10", steps=4)
+        plan = _plan(model)
+        full = [x1.copy() for _, _, x1 in _walk(plan, 7, 0, _Rows(5, 5))]
+        state = _Rows(5, 5)
+        for m, (_, _, x1) in enumerate(_walk(plan, 7, 0, state, compact=True)):
+            if m == 0:
+                state.alive[:] = state.index == row  # every other row dies
+            else:
+                assert len(state.index) == 2 and row in state.index
+                state.alive[:] = state.index == row  # keep it alive to maturity
+                pos = int(np.flatnonzero(state.index == row)[0])
+                assert x1[pos].tobytes() == full[m][row].tobytes(), m
+
+    def test_barrier_from_second_date(self):
+        corr = [[1.0, 0.4, 0.2], [0.4, 1.0, 0.4], [0.2, 0.4, 1.0]]
+        free = Regime(mu=[0.1] * 3, sigma=[0.3] * 3, corr=corr)
+        barred = Regime(mu=[0.1] * 3, sigma=[0.3] * 3, corr=corr, lower=[95.0, 90.0, None])
+        model = MarketModel(spot=[100.0] * 3, rate=0.1, grid=TimeGrid.uniform(1.0, 6),
+                            regimes=(free,) + (barred,) * 5)
+        history = _walk_history(model, CHUNK)
+        assert history[0] == (CHUNK, CHUNK)
+        assert history[-1][0] < CHUNK // 2
+        _assert_compact_batch_is_full_walk(model, CHUNK + 1)
+
+    @pytest.mark.parametrize("rebate", [0.0, 2.5])
+    @pytest.mark.parametrize("cfg", ["table4_d10", "table1b", "table2"])
+    def test_knock_out_sums_are_the_full_walk_sums(self, cfg, rebate):
+        """The knock-out means equal the full walk's sums of v*I*W + R*(1 - I*W), bit for bit."""
+        model, spec = load_config(cfg, steps=8)
+        spec = OptionSpec(kind=spec.kind, strike=spec.strike, asset=spec.asset, rebate=rebate)
+        n = CHUNK + 1
+        report = price(model, spec, n, seed=7)
+        discount = math.exp(-model.rate * model.grid.maturity)
+        totals = [0.0] * 4
+        for batch in path_batches(model, n, seed=7):
+            v = discount * spec.terminal_payoff(batch.terminal)
+            for k, surv in enumerate((batch.alive.astype(float), batch.w_lower,
+                                      batch.w_indep, batch.w_upper)):
+                c = v * surv
+                if rebate:
+                    c = c + rebate * discount * (1.0 - surv)
+                totals[k] += float(np.sum(c))
+        means = [report.q_s.mean, report.q_lower.mean, report.q_indep.mean, report.q_upper.mean]
+        assert means == [t / n for t in totals]
 
 
 class TestEngineMatchesIntervalWeights:
