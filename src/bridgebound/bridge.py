@@ -125,12 +125,15 @@ def _combine(xis: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndar
     if second is None:
         p = 1.0 - first
         return p, p, p
-    sum_xi = np.zeros_like(first)
-    prod = np.ones_like(first)
-    least = np.ones_like(first)
-    for x in chain((first, second), xis):
+    # Seeded from the first event: 0 + x, 1 * y and fmin(1, y) are exact for
+    # x, y in [0, 1], so this is the sum, product and minimum from 0, 1, 1.
+    sum_xi = first.copy()
+    prod = 1.0 - first
+    least = prod.copy()
+    no_hit = np.empty_like(prod)
+    for x in chain((second,), xis):
         sum_xi += x
-        no_hit = 1.0 - x
+        np.subtract(1.0, x, out=no_hit)
         prod *= no_hit
         np.fmin(least, no_hit, out=least)
     # Rounding is monotone, so fl(a*b) <= min(a, b) for a, b in [0, 1]: the

@@ -195,25 +195,34 @@ def price(
     r_disc = spec.rebate * discount
 
     def partials(chunk_index: int) -> list[tuple[float, float]]:
-        # A knock-out contribution reads nothing of a dead row, so its walk
-        # drops them and the payoff sees the alive rows' terminals only.
         batch = _compute_batch(plan, seed, chunk_index, n_paths, compact=not knock_in)
-        v = discount * spec.terminal_payoff(batch.terminal) if len(batch.terminal) else 0.0
-        sums = []
+        if knock_in:
+            v = discount * spec.terminal_payoff(batch.terminal)
+        else:
+            # A knock-out contribution reads nothing of a dead row, so its
+            # walk drops them and the payoff sees the alive rows' terminals
+            # only; a dead row's v is +0.0.
+            v = np.zeros(len(batch.alive))
+            if len(batch.terminal):
+                v[batch.alive] = discount * spec.terminal_payoff(batch.terminal)
         # Survival I * W per path for q_s, q_lower, q_indep, q_upper; the
-        # engine's weights already carry I as +0.0 on dead rows.
-        for surv in (batch.alive.astype(float), batch.w_lower, batch.w_indep, batch.w_upper):
+        # engine's weights already carry I as +0.0 on dead rows.  An exact
+        # batch's three weights are one array, reduced once.
+        survs = [batch.alive.astype(float), batch.w_lower]
+        if not batch.exact:
+            survs += [batch.w_indep, batch.w_upper]
+        sums = []
+        for surv in survs:
             if knock_in:
                 c = v * (1.0 - surv)
             else:
-                # v * surv with a dead row's +0.0 filled in, at full length,
-                # so the sums below add the same terms in the same order.
-                c = np.zeros(len(surv))
-                c[batch.alive] = v * surv[batch.alive]
+                # A dead row is +0.0 * +0.0 = +0.0, so every column is added
+                # at full length, in row order.
+                c = v * surv
                 if r_disc != 0.0:
                     c = c + r_disc * (1.0 - surv)
             sums.append((float(np.sum(c)), float(np.sum(c * c))))
-        return sums
+        return sums + [sums[1]] * 2 if batch.exact else sums
 
     n_chunks = _n_chunks(n_paths)
     if workers > 1 and n_chunks > 1:

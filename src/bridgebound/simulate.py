@@ -14,6 +14,13 @@ ones, and from then on draws up to the last of them and keeps only theirs.
 Together these make every output a pure function of
 (seed, n_paths, model) no matter how chunks are scheduled across workers.
 
+The draws stay row-major, (rows, d) in stream order, through the inverse
+CDF and the correlation product.  The walk then keeps prices asset-major,
+as (d, rows) arrays, because the hit probabilities and the alive checks
+work one asset at a time: each reads one contiguous row.  Every element
+goes through a row-major walk's operations in the same order, so the
+layout changes no bit.
+
 Prices evolve in log space; exponentials happen only where prices are
 reported.  A sampled value exactly on a barrier counts as a hit.
 """
@@ -74,9 +81,10 @@ class PathBatch:
     terminal prices, the discrete no-hit indicator, and the accumulated
     per-path no-hit weight under each bound.  ``exact`` is set when every
     interval has at most one active barrier event; the three weights are
-    then the exact weight, equal bit for bit.  A batch walked with dead rows
-    dropped carries the terminal prices of its alive rows only, in row
-    order; ``alive`` and the weights always cover every row.
+    then one array, the exact weight.  ``terminal`` has shape (rows, d) and
+    may be the transposed view of an asset-major array.  A batch walked
+    with dead rows dropped carries the terminal prices of its alive rows
+    only, in row order; ``alive`` and the weights always cover every row.
     """
 
     terminal: np.ndarray
@@ -144,8 +152,8 @@ class _EventKernel:
 
 @dataclass(frozen=True)
 class _StepKernel:
-    drift: np.ndarray  # (d,) (mu - sigma^2/2) dt
-    vol: np.ndarray  # (d,) sigma sqrt(dt)
+    drift: np.ndarray  # (d, 1) (mu - sigma^2/2) dt, a column against (d, rows) prices
+    vol: np.ndarray  # (d, 1) sigma sqrt(dt)
     factor: np.ndarray | None  # None where the regime's factor is the identity
     events: tuple[_EventKernel, ...]
 
@@ -181,8 +189,8 @@ def _plan(model: MarketModel) -> _EnginePlan:
         exact = exact and len(events) <= 1
         steps.append(
             _StepKernel(
-                drift=(regime.mu - 0.5 * regime.sigma**2) * dt,
-                vol=regime.sigma * math.sqrt(dt),
+                drift=((regime.mu - 0.5 * regime.sigma**2) * dt)[:, None],
+                vol=(regime.sigma * math.sqrt(dt))[:, None],
                 factor=factor,
                 events=tuple(events),
             )
@@ -193,50 +201,70 @@ def _plan(model: MarketModel) -> _EnginePlan:
 
 
 def _apply_event_alive(alive: np.ndarray, x0: np.ndarray, x1: np.ndarray, ev: _EventKernel) -> None:
-    # Both endpoints of the interval must sit strictly inside the barrier.
+    # Both endpoints of the interval must sit strictly inside the barrier;
+    # x0 and x1 are the event asset's log prices.
     if ev.side == "lower":
-        alive &= (x0[:, ev.asset] > ev.log_level) & (x1[:, ev.asset] > ev.log_level)
+        alive &= (x0 > ev.log_level) & (x1 > ev.log_level)
     else:
-        alive &= (x0[:, ev.asset] < ev.log_level) & (x1[:, ev.asset] < ev.log_level)
+        alive &= (x0 < ev.log_level) & (x1 < ev.log_level)
+
+
+def _front(buffer: np.ndarray, d: int, rows: int) -> np.ndarray:
+    """The first ``d * rows`` elements of a C-contiguous buffer, as a (d, rows) array."""
+    return buffer.reshape(-1)[: d * rows].reshape(d, rows)
 
 
 def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact: bool = False):
     """Walk the rows ``state`` carries of one chunk: yield ``(kernel, x0, x1)`` per step.
 
-    ``x0`` and ``x1`` are the walked rows' log prices at the step's ends, in
-    two buffers that the walk reuses: read them before the next step.
-    ``state.alive`` is cleared in place where a path's sampled endpoints
-    touch or cross a barrier of the step.  With ``compact``, a step that
-    finds fewer than half of the walked rows alive first gathers the alive
-    ones (with a dead one if needed to keep _MIN_ROWS), and a step that
-    finds none ends the walk.
+    ``x0`` and ``x1`` are the walked rows' log prices at the step's ends,
+    asset-major: C-contiguous (d, rows) arrays, so ``x0[k]`` is asset k's
+    row.  They live in buffers that the walk reuses: read them before the
+    next step.  The draws stay row-major, in stream order; the correlation
+    product, or a copy where the regime has no factor, moves them into the
+    walk's third (d, rows) buffer.  ``state.alive`` is cleared in place
+    where a path's sampled endpoints touch or cross a barrier of the step.
+    With ``compact``, a step that finds fewer than half of the walked rows
+    alive first gathers the alive ones (with a dead one if needed to keep
+    _MIN_ROWS), and a step that finds none ends the walk.
     """
     gen = _stream(seed, chunk_index)
-    d = plan.d
-    x0 = np.broadcast_to(plan.log_spot, (len(state.index), d)).copy()
+    d, rows = plan.d, len(state.index)
+    x0 = np.repeat(plan.log_spot[:, None], rows, axis=1)
     x1 = np.empty_like(x0)
+    zt = np.empty_like(x0)
     for kernel in plan.steps:
         if compact:
             live = np.count_nonzero(state.alive)
             if not live:
                 return
-            if 2 * live < len(state.index):
+            if 2 * live < rows:
                 keep = np.flatnonzero(state.alive)
                 if live < _MIN_ROWS:
                     keep = np.array([0, max(keep[0], 1)])
                 state.keep(keep)
-                # Gather into the front of the spare buffer; both buffers
-                # keep their first len(keep) rows from here on.
-                x1[: len(keep)] = x0[keep]
-                x0, x1 = x1[: len(keep)], x0[: len(keep)]
+                rows = len(keep)
+                # Gather into the front of the spare buffer; every buffer
+                # keeps its first d * rows elements from here on.  A mode
+                # other than "raise" lets take() write to ``out`` unbuffered.
+                x0, x1 = (
+                    np.take(x0, keep, axis=1, out=_front(x1, d, rows), mode="clip"),
+                    _front(x0, d, rows),
+                )
+                zt = _front(zt, d, rows)
+        # ndtri maps in place, faster than into a transposed output.
         z = _normal_block(gen, d, state.index)
+        if kernel.factor is None:
+            np.copyto(zt.T, z)
+        else:
+            # The same row-major BLAS product, and so the same bits, as into
+            # a (rows, d) array.
+            np.matmul(z, kernel.factor.T, out=zt.T)
         np.add(x0, kernel.drift, out=x1)
-        if kernel.factor is not None:
-            z = z @ kernel.factor.T
-        z *= kernel.vol
-        x1 += z
+        zt *= kernel.vol
+        x1 += zt
         for ev in kernel.events:
-            _apply_event_alive(state.alive, x0, x1, ev)
+            _apply_event_alive(state.alive, x0[ev.asset], x1[ev.asset], ev)
         yield kernel, x0, x1
         x0, x1 = x1, x0
 
@@ -251,15 +279,16 @@ def _compute_batch(
     """
     rows = min(CHUNK, n_paths - chunk_index * CHUNK)
     walked = max(rows, _MIN_ROWS)
-    state = _Rows(walked, rows, n_weights=3)
-    x1 = np.broadcast_to(plan.log_spot, (walked, plan.d))  # a grid without steps
+    # An exact plan's three weights are equal bit for bit: carry one.
+    state = _Rows(walked, rows, n_weights=1 if plan.exact else 3)
+    x1 = np.broadcast_to(plan.log_spot[:, None], (plan.d, walked))  # a grid without steps
     for kernel, x0, x1 in _walk(plan, seed, chunk_index, state, compact):
         if kernel.events:
             # Rows that touch a barrier are dead, and the alive mask zeroes
             # their weights below, so the hit probability is taken as if
             # every row were inside.
             xis = (
-                _xi_inside(x0[:, ev.asset], x1[:, ev.asset], ev.log_level, ev.variance)
+                _xi_inside(x0[ev.asset], x1[ev.asset], ev.log_level, ev.variance)
                 for ev in kernel.events
             )
             for w, p in zip(state.weights, _combine(xis)):
@@ -268,7 +297,7 @@ def _compute_batch(
     for w in state.weights:
         w *= state.alive
     if compact:
-        terminal = np.exp(x1[state.alive])
+        terminal = np.exp(x1[:, state.alive]).T
         # Rows that the walk dropped are dead: False, and +0.0 weights.
         cols = []
         for kept in (state.alive, *state.weights):
@@ -276,9 +305,10 @@ def _compute_batch(
             full[state.index] = kept
             cols.append(full)
     else:
-        terminal = np.exp(x1[:rows])
+        terminal = np.exp(x1[:, :rows]).T
         cols = [state.alive, *state.weights]
-    alive, w_lower, w_indep, w_upper = (col[:rows] for col in cols)
+    alive, *weights = (col[:rows] for col in cols)
+    w_lower, w_indep, w_upper = weights * 3 if plan.exact else weights
     return PathBatch(
         terminal=terminal,
         alive=alive,
@@ -316,5 +346,5 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
     walked = max(row + 1, _MIN_ROWS)
     state = _Rows(walked, walked)
     for m, (_, _, x1) in enumerate(_walk(plan, seed, chunk_index, state)):
-        values[m + 1] = np.exp(x1[row])
+        values[m + 1] = np.exp(x1[:, row])
     return PathState(values=values, alive_discrete=bool(state.alive[row]), path_index=path_index)

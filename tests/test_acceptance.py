@@ -275,6 +275,8 @@ class TestConvergenceRates:
         """Bracket width: exponential for the double barrier, quadratic for
         an independent pair, square-root for a perfectly correlated one."""
         with Gate("convergence-rate fits") as g:
+            # Reports do not depend on the worker count, so the sweeps run
+            # on two threads to save wall time.
             t0 = time.perf_counter()
             reports = run_sweep(
                 SweepSpec(
@@ -282,7 +284,8 @@ class TestConvergenceRates:
                     m_values=(1, 2, 3, 4, 5),
                     n_paths=4_000_000,
                     seed=SEED,
-                )
+                ),
+                workers=2,
             )
             fit = fit_convergence(reports, "exponential")
             elapsed = time.perf_counter() - t0
@@ -297,7 +300,8 @@ class TestConvergenceRates:
             reports = run_sweep(
                 SweepSpec(
                     config="table3_rho0", m_values=(4, 8), n_paths=4_000_000, seed=SEED
-                )
+                ),
+                workers=2,
             )
             reports.update(
                 run_sweep(
@@ -306,7 +310,8 @@ class TestConvergenceRates:
                         m_values=(16,),
                         n_paths=24_000_000,
                         seed=SEED,
-                    )
+                    ),
+                    workers=2,
                 )
             )
             fit = fit_convergence(reports, "power")
@@ -324,7 +329,8 @@ class TestConvergenceRates:
                     m_values=(4, 16, 64),
                     n_paths=1_000_000,
                     seed=SEED,
-                )
+                ),
+                workers=2,
             )
             reports.update(
                 run_sweep(
@@ -333,7 +339,8 @@ class TestConvergenceRates:
                         m_values=(256,),
                         n_paths=4_000_000,
                         seed=SEED,
-                    )
+                    ),
+                    workers=2,
                 )
             )
             fit = fit_convergence(reports, "power")

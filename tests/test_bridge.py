@@ -163,6 +163,25 @@ class TestCombine:
         assert p_indep == indep <= upper  # rounded products never exceed a factor
         assert p_lower == min(lower, indep)
 
+    @pytest.mark.parametrize("first", [0.0, 1.0])
+    def test_first_event_at_either_end_seeds_exactly(self, first):
+        """Seeding the accumulators from the first event gives the bits of
+        a sum from 0, a product from 1 and a minimum from 1."""
+        rng = np.random.default_rng(3)
+        xis = [np.full(64, first)] + [rng.uniform(0.0, 1.0, 64) for _ in range(3)]
+        xis[1][:3] = [0.0, 1.0, first]
+        given_xis = [x.copy() for x in xis]
+        sum_xi, prod, least = np.zeros(64), np.ones(64), np.ones(64)
+        for x in xis:
+            sum_xi = sum_xi + x
+            prod = prod * (1.0 - x)
+            least = np.fmin(least, 1.0 - x)
+        want = (np.fmin(np.fmax(1.0 - sum_xi, 0.0), prod), prod, least)
+        for got, expected in zip(_combine(xis), want):
+            assert got.tobytes() == expected.tobytes()
+        for x, before in zip(xis, given_xis):
+            assert x.tobytes() == before.tobytes()  # inputs are left as they were
+
 
 class TestIntervalWeights:
     def test_no_barriers_all_one(self):

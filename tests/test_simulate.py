@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from bridgebound.bridge import IntervalContext, interval_weights
+from bridgebound.bridge import IntervalContext, _combine, _xi_inside, interval_weights
 from bridgebound.estimators import path_contributions, price
 from bridgebound.model import MarketModel, OptionSpec, Regime, TimeGrid, config_path, load_config
 from bridgebound.simulate import (
@@ -255,8 +256,9 @@ class TestRowCount:
 
 
 class TestGatheredProducts:
-    """Dropping dead rows correlates a gathered subset of a chunk's normals;
-    each row must come out as it does in the whole chunk's product."""
+    """Dropping dead rows correlates a gathered subset of a chunk's normals,
+    into a transposed output; each row must come out as it does in the whole
+    chunk's row-major product."""
 
     @pytest.mark.parametrize("cfg", ["table4_d10", "table4_d3", "table3_rho0.5"])
     def test_row_subsets_match_full_product(self, cfg):
@@ -271,6 +273,10 @@ class TestGatheredProducts:
                 if ordered:
                     idx.sort()
                 assert (z[idx] @ factor.T).tobytes() == full[idx].tobytes(), (size, ordered)
+                # The walk writes the product into an asset-major buffer.
+                out = np.empty((model.d, size))
+                np.matmul(z[idx], factor.T, out=out.T)
+                assert out.T.tobytes() == full[idx].tobytes(), (size, ordered)
 
 
 def _assert_compact_batch_is_full_walk(model, n, seed=7):
@@ -348,7 +354,7 @@ class TestDeadRowsDropped:
                 assert len(state.index) == 2 and row in state.index
                 state.alive[:] = state.index == row  # keep it alive to maturity
                 pos = int(np.flatnonzero(state.index == row)[0])
-                assert x1[pos].tobytes() == full[m][row].tobytes(), m
+                assert x1[:, pos].tobytes() == full[m][:, row].tobytes(), m
 
     def test_barrier_from_second_date(self):
         corr = [[1.0, 0.4, 0.2], [0.4, 1.0, 0.4], [0.2, 0.4, 1.0]]
@@ -381,6 +387,80 @@ class TestDeadRowsDropped:
                 totals[k] += float(np.sum(c))
         means = [report.q_s.mean, report.q_lower.mean, report.q_indep.mean, report.q_upper.mean]
         assert means == [t / n for t in totals]
+
+
+@functools.cache
+def _row_major_walk(cfg: str, chunk: int, walked: int, seed: int = 7):
+    """One chunk's first ``walked`` rows, walked row-major, written out step by step.
+
+    Each step draws its whole (CHUNK, d) Philox block, maps the walked rows
+    through ndtri, correlates them as (rows, d) @ F.T and advances every
+    row as x1 = (x0 + drift) + z * vol.  Returns the (walked, d) log
+    prices at every date, the alive flags and the three weights, with the
+    dead rows' weights +0.0.
+    """
+    model, _ = load_config(cfg, steps=3)
+    plan = _plan(model)
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) + chunk))
+    xs = [np.broadcast_to(np.log(model.spot), (walked, model.d)).copy()]
+    alive = np.ones(walked, dtype=bool)
+    weights = [np.ones(walked) for _ in range(3)]
+    for m, kernel in enumerate(plan.steps):
+        regime, dt = model.regimes[m], model.grid.dt(m)
+        u = gen.random((CHUNK, model.d))[:walked]
+        z = ndtri(np.fmax(u, 2.0**-54))
+        if kernel.factor is not None:
+            z = z @ kernel.factor.T
+        x0 = xs[-1]
+        x1 = (x0 + (regime.mu - 0.5 * regime.sigma**2) * dt) + z * (regime.sigma * math.sqrt(dt))
+        xs.append(x1)
+        if not kernel.events:
+            continue
+        xis = []
+        for ev in kernel.events:
+            a, b = x0[:, ev.asset], x1[:, ev.asset]
+            if ev.side == "lower":
+                alive &= (a > ev.log_level) & (b > ev.log_level)
+            else:
+                alive &= (a < ev.log_level) & (b < ev.log_level)
+            xis.append(_xi_inside(a, b, ev.log_level, ev.variance))
+        for w, p in zip(weights, _combine(xis)):
+            w *= p
+    return xs, alive, [w * alive for w in weights]
+
+
+class TestRowMajorReference:
+    """The engine keeps prices asset-major; its outputs are the bits of a
+    row-major walk."""
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["full", "compact"])
+    @pytest.mark.parametrize("n", [2, 3, 1697, CHUNK + 1])
+    @pytest.mark.parametrize("cfg", BUNDLED)
+    def test_batches_are_the_reference_walk(self, cfg, n, compact):
+        plan = _plan(load_config(cfg, steps=3)[0])
+        for chunk in range(_n_chunks(n)):
+            rows = min(CHUNK, n - chunk * CHUNK)
+            xs, alive, weights = _row_major_walk(cfg, chunk, max(rows, 2))
+            alive = alive[:rows]
+            terminal = np.exp(xs[-1][:rows])
+            batch = _compute_batch(plan, 7, chunk, n, compact=compact)
+            assert batch.alive.tobytes() == alive.tobytes(), chunk
+            for name, w in zip(("w_lower", "w_indep", "w_upper"), weights):
+                assert getattr(batch, name).tobytes() == w[:rows].tobytes(), (chunk, name)
+            want = terminal[alive] if compact else terminal
+            assert batch.terminal.shape == want.shape
+            assert batch.terminal.tobytes() == want.tobytes(), chunk
+
+    @pytest.mark.parametrize("cfg", BUNDLED)
+    def test_simulate_path_is_the_reference_row(self, cfg):
+        model, _ = load_config(cfg, steps=3)
+        xs, alive, _ = _row_major_walk(cfg, 0, CHUNK)
+        for row in (0, CHUNK - 1):
+            state = simulate_path(model, row, seed=7)
+            assert state.values[0].tobytes() == model.spot.tobytes()
+            want = np.exp(np.array([x[row] for x in xs[1:]]))
+            assert state.values[1:].tobytes() == want.tobytes(), row
+            assert state.alive_discrete == bool(alive[row])
 
 
 class TestEngineMatchesIntervalWeights:
