@@ -16,13 +16,14 @@ for a far barrier.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .model import Regime, factor_correlation
+from .model import ModelError, Regime, factor_correlation
 
 __all__ = [
     "IntervalContext",
@@ -43,6 +44,8 @@ class IntervalContext:
 
     ``s0`` and ``s1`` are the sampled price vectors at the interval's ends,
     ``regime`` the parameters in force inside it, ``dt`` its length in years.
+    Prices must be finite and positive, one per asset of the regime, and
+    ``dt`` finite and positive; anything else raises ModelError.
     """
 
     s0: np.ndarray
@@ -51,8 +54,16 @@ class IntervalContext:
     dt: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s0", np.atleast_1d(np.asarray(self.s0, dtype=float)))
-        object.__setattr__(self, "s1", np.atleast_1d(np.asarray(self.s1, dtype=float)))
+        d = self.regime.d
+        for name in ("s0", "s1"):
+            values = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if values.shape != (d,):
+                raise ModelError(f"{name} must have {d} entries, got shape {values.shape}")
+            if not np.all(np.isfinite(values) & (values > 0.0)):
+                raise ModelError(f"{name} entries must be finite and > 0, got {values.tolist()}")
+            object.__setattr__(self, name, values)
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ModelError(f"dt must be finite and > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -177,10 +188,13 @@ def oracle_no_hit(
     upward by O(1/sqrt(substeps)).
 
     Trials run in blocks whose normals fill about ``_ORACLE_BLOCK_DOUBLES``
-    doubles, so memory is bounded by one block whatever ``trials`` is.  The
-    normals are one ``default_rng(seed)`` stream read in (trial, substep,
-    asset) order, so the draws, and the estimate, are the same for any
-    block size.  Only the assets that carry a barrier are built into paths.
+    doubles, and the normals of the next block are drawn on one helper
+    thread while the calling thread decides the current one, so memory is
+    bounded by two blocks whatever ``trials`` is.  The normals are one
+    ``default_rng(seed)`` stream read in (trial, substep, asset) order, so
+    the draws, and the estimate, are the same for any block size and with
+    or without the overlap.  Only the assets that carry a barrier are built
+    into paths.
     """
     if substeps < 100:
         raise ValueError(f"substeps must be >= 100, got {substeps}")
@@ -206,29 +220,41 @@ def oracle_no_hit(
     scale = regime.sigma * math.sqrt(ctx.dt / substeps)
 
     block = max(1, _ORACLE_BLOCK_DOUBLES // (substeps * d))
-    z_block = np.empty((block, substeps, d))
+    starts = range(0, trials, block)
+    z_blocks = (np.empty((block, substeps, d)), np.empty((block, substeps, d)))
     path_block = np.empty((block, substeps))
     pin_block = np.empty((block, substeps))
     rng = np.random.default_rng(seed)
+
+    def draw(i: int) -> np.ndarray:
+        # block i's normals, next in the stream; the fill releases the GIL
+        n = min(block, trials - starts[i])
+        return rng.standard_normal(out=z_blocks[i % 2][:n])
+
     survivors = 0
-    for done in range(0, trials, block):
-        n = min(block, trials - done)
-        z = rng.standard_normal(out=z_block[:n])
-        path, pin = path_block[:n], pin_block[:n]
-        alive = np.ones(n, dtype=bool)
-        for k, sides in barriers.items():
-            np.matmul(z, factor[k], out=path)  # asset k's correlated increments
-            path *= scale[k]
-            np.cumsum(path, axis=1, out=path)
-            np.multiply(frac, path[:, -1:], out=pin)
-            path -= pin  # pin the walk's end to 0: a Brownian bridge
-            path += lines[k]
-            for side, b in sides:
-                if side == "lower":
-                    alive &= path.min(axis=1) > b
-                else:
-                    alive &= path.max(axis=1) < b
-        survivors += int(alive.sum())
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, 0)
+        for i in range(len(starts)):
+            z = pending.result()
+            if i + 1 < len(starts):
+                # block i+1 fills the buffer of block i-1, already decided
+                pending = pool.submit(draw, i + 1)
+            n = len(z)
+            path, pin = path_block[:n], pin_block[:n]
+            alive = np.ones(n, dtype=bool)
+            for k, sides in barriers.items():
+                np.matmul(z, factor[k], out=path)  # asset k's correlated increments
+                path *= scale[k]
+                np.cumsum(path, axis=1, out=path)
+                np.multiply(frac, path[:, -1:], out=pin)
+                path -= pin  # pin the walk's end to 0: a Brownian bridge
+                path += lines[k]
+                for side, b in sides:
+                    if side == "lower":
+                        alive &= path.min(axis=1) > b
+                    else:
+                        alive &= path.max(axis=1) < b
+            survivors += int(alive.sum())
     p = survivors / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return p, se

@@ -81,6 +81,9 @@ def z_point(est, target: float, target_se: float = 0.0) -> float:
 
 
 class TestGoldenTables:
+    # Reports do not depend on the worker count, so every sweep here runs on
+    # two threads to save wall time.
+
     def test_single_asset_exact_weight_recovers_continuous_value(self):
         """q_exact stays on 8.794 at every M while q_s drifts from above."""
         with Gate("single-asset knock-out golden values", budget=60.0) as g:
@@ -90,7 +93,8 @@ class TestGoldenTables:
                     m_values=(1, 16, 1024),
                     n_paths=400_000,
                     seed=SEED,
-                )
+                ),
+                workers=2,
             )
             for m, rep in reports.items():
                 g.check(
@@ -105,7 +109,8 @@ class TestGoldenTables:
     def test_two_asset_exact_weight_recovers_continuous_value(self):
         with Gate("two-asset knock-out exact weight", budget=120.0) as g:
             reports = run_sweep(
-                SweepSpec(config="table1b", m_values=(1,), n_paths=800_000, seed=SEED)
+                SweepSpec(config="table1b", m_values=(1,), n_paths=800_000, seed=SEED),
+                workers=2,
             )
             est = reports[1].q_exact
             g.check(
@@ -117,7 +122,8 @@ class TestGoldenTables:
         """All three bound estimates land on 1.793 once extrema disjoin."""
         with Gate("double knock-out bound estimates", budget=120.0) as g:
             reports = run_sweep(
-                SweepSpec(config="table2", m_values=(1, 16), n_paths=400_000, seed=SEED)
+                SweepSpec(config="table2", m_values=(1, 16), n_paths=400_000, seed=SEED),
+                workers=2,
             )
             fine = reports[16]
             for name in ("q_upper", "q_indep", "q_lower"):
@@ -157,7 +163,8 @@ class TestGoldenTables:
                 reports = run_sweep(
                     SweepSpec(
                         config=config, m_values=m_values, n_paths=100_000, seed=SEED
-                    )
+                    ),
+                    workers=2,
                 )
                 q0 = reports[64].q0
                 g.check(
@@ -185,7 +192,8 @@ class TestGoldenTables:
             reports = run_sweep(
                 SweepSpec(
                     config="table3_rho-1", m_values=(8, 64), n_paths=100_000, seed=SEED
-                )
+                ),
+                workers=2,
             )
             for m in (8, 64):
                 q0 = reports[m].q0
@@ -236,7 +244,8 @@ class TestGoldenTables:
                 reports = run_sweep(
                     SweepSpec(
                         config=config, m_values=(1, 8, 64), n_paths=100_000, seed=SEED
-                    )
+                    ),
+                    workers=2,
                 )
                 for m, rows in per_m.items():
                     for name, (target, target_se) in rows.items():

@@ -8,6 +8,8 @@ with 4-standard-error tolerances.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import frechet_bounds, independent_no_hit
 
+from bridgebound import bridge
 from bridgebound.bridge import (
     BridgeWeights,
     IntervalContext,
@@ -24,7 +27,7 @@ from bridgebound.bridge import (
     oracle_no_hit,
     xi,
 )
-from bridgebound.model import Regime, factor_correlation
+from bridgebound.model import ModelError, Regime, factor_correlation
 
 # xi(100, 100, 90, sigma=0.3, dt=0.5), flat endpoints
 XI_FLAT = 0.6105649582820487
@@ -86,6 +89,36 @@ class TestXi:
 def one_asset_ctx(s0=100.0, s1=100.0, lower=90.0, upper=None, sigma=0.3, dt=0.5):
     regime = Regime(mu=[0.1], sigma=[sigma], lower=[lower], upper=[upper])
     return IntervalContext(s0=[s0], s1=[s1], regime=regime, dt=dt)
+
+
+class TestIntervalContextValidation:
+    """Invalid endpoints or lengths are refused with the field's name, not
+    priced into zero weights or a plausible-looking oracle answer."""
+
+    REGIME = Regime(mu=[0.0], sigma=[0.3], lower=[90.0])
+
+    @pytest.mark.parametrize("field", ["s0", "s1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -100.0])
+    def test_non_positive_or_non_finite_price_refused(self, field, bad):
+        ends = {"s0": [100.0], "s1": [100.0], field: [bad]}
+        with pytest.raises(ModelError, match=field):
+            IntervalContext(regime=self.REGIME, dt=0.5, **ends)
+
+    @pytest.mark.parametrize("field", ["s0", "s1"])
+    @pytest.mark.parametrize("bad", [[100.0, 1.0], [], [[100.0]]])
+    def test_price_count_other_than_d_refused(self, field, bad):
+        ends = {"s0": [100.0], "s1": [100.0], field: bad}
+        with pytest.raises(ModelError, match=field):
+            IntervalContext(regime=self.REGIME, dt=0.5, **ends)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+    def test_non_positive_or_non_finite_dt_refused(self, bad):
+        with pytest.raises(ModelError, match="dt"):
+            IntervalContext(s0=[100.0], s1=[100.0], regime=self.REGIME, dt=bad)
+
+    def test_scalar_prices_accepted_for_one_asset(self):
+        ctx = IntervalContext(s0=100.0, s1=100.0, regime=self.REGIME, dt=0.5)
+        assert ctx.s0.tolist() == ctx.s1.tolist() == [100.0]
 
 
 class TestMarginalNoHit:
@@ -365,3 +398,46 @@ class TestOracleEquivalence:
         ctx = ORACLE_CONTEXTS[name]
         got = oracle_no_hit(ctx, substeps=100, trials=10_001, seed=11)
         assert got == full_path_oracle(ctx, substeps=100, trials=10_001, seed=11)
+
+
+class TestOraclePipeline:
+    """The next block is drawn on a helper thread while the current one is
+    decided; the answers stay the full-path reference's, and every thread
+    is gone when the call returns."""
+
+    def test_matches_reference_under_frequent_thread_switches(self):
+        """100 substeps at d=3 give 873-trial blocks: 12 blocks, the last
+        ragged, so both buffers are reused several times.  Whether a block
+        is overwritten while it is decided depends on thread timing, so
+        several seeds are run."""
+        ctx = ORACLE_CONTEXTS["corr-d3-asset1-unbarred"]
+        seeds = range(21, 26)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [oracle_no_hit(ctx, substeps=100, trials=10_001, seed=s) for s in seeds]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [full_path_oracle(ctx, substeps=100, trials=10_001, seed=s) for s in seeds]
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        oracle_no_hit(ORACLE_CONTEXTS["both-barriers-one-asset"], substeps=100, trials=10_000, seed=2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "ctx, expected",
+        [
+            (one_asset_ctx(lower=None), (1.0, 0.0)),
+            (ORACLE_CONTEXTS["start-on-barrier"], (0.0, 0.0)),
+        ],
+        ids=["no-barriers", "start-on-barrier"],
+    )
+    def test_early_returns_start_no_thread(self, ctx, expected, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an early return started a thread pool")
+
+        monkeypatch.setattr(bridge, "ThreadPoolExecutor", no_pool)
+        before = threading.active_count()
+        assert oracle_no_hit(ctx, substeps=100, trials=10_000, seed=2) == expected
+        assert threading.active_count() == before
