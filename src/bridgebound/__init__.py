@@ -15,7 +15,6 @@ from .bridge import (
     IntervalContext,
     interval_weights,
     oracle_no_hit,
-    xi,
 )
 from .estimators import (
     EstimatorResult,
@@ -83,7 +82,6 @@ __all__ = [
     "run_sweep",
     "simulate_path",
     "validate",
-    "xi",
 ]
 
 __version__ = "0.1.0"

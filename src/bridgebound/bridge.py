@@ -7,10 +7,15 @@ the exact no-hit probability ``1 - xi``; several simultaneous barrier
 events only pin the marginals, so the joint no-hit probability is bracketed
 by its Frechet bounds and approximated by the independence product.
 
+One vector kernel serves the path engine's (d, rows) log prices and
+:func:`interval_weights`' single row alike: :func:`_events` lists the
+barrier events, :func:`_clear_touched` clears the alive flag of rows that
+touch one, and :func:`_no_hit` turns the events' ``xi`` into the bounds.
+
 Conventions: a sampled endpoint at or beyond a barrier is a certain hit
-(``xi = 1``); the hit exponent is computed in log space and clamped at 0 so
-overflow cannot occur; underflow flushes to ``xi = 0``, the correct limit
-for a far barrier.
+(weight 0); a lower barrier at 0 is never hit by positive prices, so it is
+no event; the hit exponent is clamped at 0 so overflow cannot occur;
+underflow flushes to ``xi = 0``, the correct limit for a far barrier.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import ModelError, Regime, factor_correlation
+from .model import ModelError, Regime, _regime_violations, factor_correlation
 
 __all__ = [
     "IntervalContext",
     "BridgeWeights",
-    "xi",
     "interval_weights",
     "oracle_no_hit",
 ]
@@ -44,8 +48,9 @@ class IntervalContext:
 
     ``s0`` and ``s1`` are the sampled price vectors at the interval's ends,
     ``regime`` the parameters in force inside it, ``dt`` its length in years.
-    Prices must be finite and positive, one per asset of the regime, and
-    ``dt`` finite and positive; anything else raises ModelError.
+    The regime must pass :func:`~bridgebound.model.validate`'s per-regime
+    checks, prices must be finite and positive, one per asset of the
+    regime, and ``dt`` finite and positive; anything else raises ModelError.
     """
 
     s0: np.ndarray
@@ -55,6 +60,9 @@ class IntervalContext:
 
     def __post_init__(self) -> None:
         d = self.regime.d
+        problems = _regime_violations(self.regime, d, "regime")
+        if problems:
+            raise ModelError("; ".join(problems))
         for name in ("s0", "s1"):
             values = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if values.shape != (d,):
@@ -80,6 +88,41 @@ class BridgeWeights:
     p_exact: float | None = None
 
 
+@dataclass(frozen=True)
+class _Event:
+    asset: int
+    side: str  # "lower" or "upper"
+    log_level: float
+    variance: float  # sigma_k^2 * dt
+
+
+def _events(regime: Regime, dt: float) -> tuple[_Event, ...]:
+    """The regime's barrier events over ``dt`` years, in canonical order.
+
+    A lower barrier at 0 is never hit by positive prices, so it is dropped;
+    the engine, the interval weights and the oracle all see the same events.
+    """
+    return tuple(
+        _Event(k, side, math.log(level), float(regime.sigma[k]) ** 2 * dt)
+        for k, side, level in regime.events()
+        if not (side == "lower" and level == 0.0)
+    )
+
+
+def _clear_touched(alive: np.ndarray, events, x0: np.ndarray, x1: np.ndarray) -> None:
+    """Clear ``alive`` in place where a row's sampled endpoints touch or cross a barrier.
+
+    ``x0`` and ``x1`` are the log prices at the interval's ends, (d, rows);
+    both must sit strictly inside every barrier for a row to stay alive.
+    """
+    for ev in events:
+        a, b = x0[ev.asset], x1[ev.asset]
+        if ev.side == "lower":
+            alive &= (a > ev.log_level) & (b > ev.log_level)
+        else:
+            alive &= (a < ev.log_level) & (b < ev.log_level)
+
+
 def _xi_inside(x0, x1, log_barrier: float, variance: float):
     """Hit probability of a bridge with both endpoints inside the barrier.
 
@@ -92,34 +135,6 @@ def _xi_inside(x0, x1, log_barrier: float, variance: float):
         return np.zeros(np.broadcast(x0, x1).shape)
     expo = (-2.0 / variance) * (log_barrier - x0) * (log_barrier - x1)
     return np.exp(np.fmin(expo, 0.0))  # exponent > 0 only when touched
-
-
-def xi(s0: float, s1: float, barrier: float, sigma: float, dt: float, side: str = "lower") -> float:
-    """Probability that one asset hits one barrier inside one interval.
-
-    Conditional on the log-price bridging ``s0`` to ``s1`` over ``dt`` years
-    with volatility ``sigma``.  Returns 1 when either endpoint touches or
-    breaches the barrier (``side`` determines which direction counts as a
-    breach), else ``exp(-2 ln(barrier/s0) ln(barrier/s1) / (sigma^2 dt))``.
-    """
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    if barrier <= 0.0:
-        if side == "lower":
-            return 0.0 if min(s0, s1) > barrier else 1.0
-        return 1.0  # an upper barrier at or below zero is always breached
-    x0, x1, b = math.log(s0), math.log(s1), math.log(barrier)
-    touched = (x0 <= b or x1 <= b) if side == "lower" else (x0 >= b or x1 >= b)
-    return 1.0 if touched else float(_xi_inside(x0, x1, b, sigma * sigma * dt))
-
-
-def _active_events(regime: Regime) -> tuple[tuple[int, str, float], ...]:
-    """The regime's barrier events that can be hit, in canonical order.
-
-    A lower barrier at 0 is never hit by positive prices, so it is dropped;
-    the engine, the interval weights and the oracle all see the same events.
-    """
-    return tuple(ev for ev in regime.events() if not (ev[1] == "lower" and ev[2] == 0.0))
 
 
 def _combine(xis: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,6 +169,17 @@ def _combine(xis: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return p_lower, prod, least
 
 
+def _no_hit(events, x0: np.ndarray, x1: np.ndarray):
+    """The no-hit bounds of :func:`_combine` at (d, rows) endpoints, over one event or more.
+
+    Every row is taken as inside; the caller zeroes touched rows by the
+    alive flag of :func:`_clear_touched`.
+    """
+    return _combine(
+        _xi_inside(x0[ev.asset], x1[ev.asset], ev.log_level, ev.variance) for ev in events
+    )
+
+
 def interval_weights(ctx: IntervalContext) -> BridgeWeights:
     """Assemble the no-hit bounds and independence product for one interval.
 
@@ -161,15 +187,13 @@ def interval_weights(ctx: IntervalContext) -> BridgeWeights:
     barriers contributes two events) in canonical order; with at most one
     event the exact probability is available and all fields coincide.
     """
-    events = _active_events(ctx.regime)
+    events = _events(ctx.regime, ctx.dt)
     if not events:
         return BridgeWeights(1.0, 1.0, 1.0, 1.0)
-    sigma = ctx.regime.sigma
-    xis = [
-        np.array([xi(float(ctx.s0[k]), float(ctx.s1[k]), level, float(sigma[k]), ctx.dt, side)])
-        for k, side, level in events
-    ]
-    p_lower, p_indep, p_upper = (float(p[0]) for p in _combine(xis))
+    x0, x1 = np.log(ctx.s0)[:, None], np.log(ctx.s1)[:, None]  # one row
+    alive = np.ones(1, dtype=bool)
+    _clear_touched(alive, events, x0, x1)
+    p_lower, p_indep, p_upper = (float(p[0] * alive[0]) for p in _no_hit(events, x0, x1))
     return BridgeWeights(p_lower, p_indep, p_upper, p_upper if len(events) == 1 else None)
 
 
@@ -201,17 +225,16 @@ def oracle_no_hit(
     if trials < 10_000:
         raise ValueError(f"trials must be >= 10000, got {trials}")
     regime = ctx.regime
-    events = _active_events(regime)
+    events = _events(regime, ctx.dt)
     if not events:
         return 1.0, 0.0
     d = regime.d
     factor = factor_correlation(regime.corr)
-    x0 = np.log(ctx.s0)
-    x1 = np.log(ctx.s1)
+    x0, x1 = np.log(ctx.s0), np.log(ctx.s1)
     # (side, log level) of each barrier, keyed by the asset that carries it
     barriers: dict[int, list[tuple[str, float]]] = {}
-    for k, side, level in events:
-        b = math.log(level)
+    for ev in events:
+        k, side, b = ev.asset, ev.side, ev.log_level
         if not (x0[k] > b if side == "lower" else x0[k] < b):
             return 0.0, 0.0  # every path starts at x0, so every trial hits
         barriers.setdefault(k, []).append((side, b))

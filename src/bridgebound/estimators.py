@@ -194,7 +194,7 @@ def price(
     discount = math.exp(-model.rate * model.grid.maturity)
     r_disc = spec.rebate * discount
 
-    def partials(chunk_index: int) -> list[tuple[float, float]]:
+    def partials(chunk_index: int) -> list[tuple[int, float, float, float]]:
         batch = _compute_batch(plan, seed, chunk_index, n_paths, compact=not knock_in)
         if knock_in:
             v = discount * spec.terminal_payoff(batch.terminal)
@@ -221,7 +221,17 @@ def price(
                 c = v * surv
                 if r_disc != 0.0:
                     c = c + r_disc * (1.0 - surv)
-            sums.append((float(np.sum(c)), float(np.sum(c * c))))
+            # The chunk's count, sum, mean and sum of squared deviations
+            # from that mean: two-pass, so nothing cancels against a large
+            # mean.  The mean is refined by its residual, which makes it
+            # exact, and the deviations 0, for a constant column.
+            s = float(np.sum(c))
+            mean = s / len(c)
+            dev = c - mean
+            mean += float(np.sum(dev)) / len(c)
+            np.subtract(c, mean, out=dev)
+            dev *= dev
+            sums.append((len(c), s, mean, float(np.sum(dev))))
         return sums + [sums[1]] * 2 if batch.exact else sums
 
     n_chunks = _n_chunks(n_paths)
@@ -235,14 +245,18 @@ def price(
 
     columns = []
     for col in zip(*per_chunk):
-        total = 0.0
-        total_sq = 0.0
-        for s, s2 in col:
+        # Merge the chunks' means and squared deviations in chunk order
+        # (Chan, Golub & LeVeque 1979); the reported mean stays the plain
+        # sum over n_paths.
+        count, total, running_mean, m2 = 0, 0.0, 0.0, 0.0
+        for n, s, chunk_mean, chunk_m2 in col:
+            delta = chunk_mean - running_mean
+            m2 += chunk_m2 + count * n / (count + n) * delta * delta
+            running_mean += n / (count + n) * delta
             total += s
-            total_sq += s2
+            count += n
         mean = total / n_paths
-        var_num = max(total_sq - total * total / n_paths, 0.0)
-        se = math.sqrt(var_num / (n_paths - 1) / n_paths)
+        se = math.sqrt(m2 / (n_paths - 1) / n_paths)
         columns.append(EstimatorResult(mean=mean, std_error=se))
     q_s, q_lower, q_indep, q_upper = columns
     if knock_in:

@@ -489,9 +489,8 @@ def reproduce_table(
         label = golden.config
         n = golden.n_paths if n_paths is None else n_paths
         m_values = sorted(golden.published)
-        for m in m_values:
-            model, option = load_config(label, steps=m)
-            report = price(model, option, n, seed=seed, workers=workers)
+        sweep = run_sweep(SweepSpec(label, m_values, n, seed), workers)
+        for m, report in sweep.items():
             reports[(label, m)] = report
             named = report.estimates
             for est, (target, target_se) in sorted(golden.published[m].items()):

@@ -251,6 +251,58 @@ def factor_correlation(corr: np.ndarray) -> np.ndarray:
     return ell * signs  # flip column signs so diagonal entries are >= 0
 
 
+def _regime_violations(regime: Regime, d: int, label: str) -> list[str]:
+    """The violations of one regime against ``d`` assets, each prefixed with ``label``.
+
+    A correlation matrix that is not positive semi-definite raises
+    ModelError instead, naming ``label``.
+    """
+    out: list[str] = []
+    mismatched = [name for name in ("mu", "sigma") if len(getattr(regime, name)) != d]
+    if mismatched:
+        out.append(
+            f"{label}: parameter length does not match {d} assets ({', '.join(mismatched)})"
+        )
+        return out
+    if not np.all(np.isfinite(regime.mu)):
+        out.append(f"{label}: mu must be finite")
+    if not np.all(np.isfinite(regime.sigma)):
+        out.append(f"{label}: sigma must be finite")
+    if np.any(regime.sigma <= 0.0):
+        out.append(f"{label}: sigma must be strictly positive")
+    c = regime.corr
+    if c.shape != (d, d):
+        out.append(f"{label}: correlation must be {d}x{d}")
+        return out
+    if not np.all(np.isfinite(c)):
+        out.append(f"{label}: correlation entries must be finite")
+        return out
+    if not np.allclose(c, c.T, atol=1e-12):
+        out.append(f"{label}: correlation is not symmetric")
+    if not np.allclose(np.diag(c), 1.0, atol=1e-12):
+        out.append(f"{label}: correlation diagonal must be 1")
+    if np.any(np.abs(c) > 1.0 + 1e-12):
+        out.append(f"{label}: correlation entries must lie in [-1, 1]")
+    w_min = float(np.linalg.eigvalsh(0.5 * (c + c.T))[0])
+    if w_min < MIN_EIGENVALUE:
+        raise ModelError(
+            f"{label}: correlation is not positive semi-definite "
+            f"(min eigenvalue {w_min:.3e})"
+        )
+    for k in range(d):
+        lo, hi = regime.lower[k], regime.upper[k]
+        for side, b in (("lower", lo), ("upper", hi)):
+            if b is not None and not math.isfinite(b):
+                out.append(f"{label}: {side} barrier on asset {k} must be finite")
+        if lo is not None and lo < 0.0:
+            out.append(f"{label}: lower barrier on asset {k} is negative")
+        if hi is not None and hi <= 0.0:
+            out.append(f"{label}: upper barrier on asset {k} must be > 0")
+        if lo is not None and hi is not None and lo >= hi:
+            out.append(f"{label}: lower barrier must be below upper on asset {k}")
+    return out
+
+
 def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationReport:
     """Check every model/option invariant; return the list of violations.
 
@@ -287,50 +339,7 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
         )
 
     for m, regime in enumerate(model.regimes):
-        label = f"regime {m}"
-        if regime.d != d or len(regime.mu) != d:
-            report.violations.append(f"{label}: parameter length does not match {d} assets")
-            continue
-        if not np.all(np.isfinite(regime.mu)):
-            report.violations.append(f"{label}: mu must be finite")
-        if not np.all(np.isfinite(regime.sigma)):
-            report.violations.append(f"{label}: sigma must be finite")
-        if np.any(regime.sigma <= 0.0):
-            report.violations.append(f"{label}: sigma must be strictly positive")
-        c = regime.corr
-        if c.shape != (d, d):
-            report.violations.append(f"{label}: correlation must be {d}x{d}")
-            continue
-        if not np.all(np.isfinite(c)):
-            report.violations.append(f"{label}: correlation entries must be finite")
-            continue
-        if not np.allclose(c, c.T, atol=1e-12):
-            report.violations.append(f"{label}: correlation is not symmetric")
-        if not np.allclose(np.diag(c), 1.0, atol=1e-12):
-            report.violations.append(f"{label}: correlation diagonal must be 1")
-        if np.any(np.abs(c) > 1.0 + 1e-12):
-            report.violations.append(f"{label}: correlation entries must lie in [-1, 1]")
-        w_min = float(np.linalg.eigvalsh(0.5 * (c + c.T))[0])
-        if w_min < MIN_EIGENVALUE:
-            raise ModelError(
-                f"{label}: correlation is not positive semi-definite "
-                f"(min eigenvalue {w_min:.3e})"
-            )
-        for k in range(d):
-            lo, hi = regime.lower[k], regime.upper[k]
-            for side, b in (("lower", lo), ("upper", hi)):
-                if b is not None and not math.isfinite(b):
-                    report.violations.append(
-                        f"{label}: {side} barrier on asset {k} must be finite"
-                    )
-            if lo is not None and lo < 0.0:
-                report.violations.append(f"{label}: lower barrier on asset {k} is negative")
-            if hi is not None and hi <= 0.0:
-                report.violations.append(f"{label}: upper barrier on asset {k} must be > 0")
-            if lo is not None and hi is not None and lo >= hi:
-                report.violations.append(
-                    f"{label}: lower barrier must be below upper on asset {k}"
-                )
+        report.violations += _regime_violations(regime, d, f"regime {m}")
 
     # Dead-at-inception configurations: strictly outside is a hard error,
     # exactly on the barrier is reported (boundary counts as a hit).

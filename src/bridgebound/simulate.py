@@ -22,7 +22,8 @@ goes through a row-major walk's operations in the same order, so the
 layout changes no bit.
 
 Prices evolve in log space; exponentials happen only where prices are
-reported.  A sampled value exactly on a barrier counts as a hit.
+reported.  A sampled value exactly on a barrier counts as a hit.  Each
+step's events, alive check and no-hit bounds are bridge.py's vector kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .bridge import _active_events, _combine, _xi_inside
+from .bridge import _clear_touched, _Event, _events, _no_hit
 from .model import MarketModel, factor_correlation
 
 __all__ = [
@@ -143,19 +144,11 @@ class _Rows:
 
 
 @dataclass(frozen=True)
-class _EventKernel:
-    asset: int
-    side: str  # "lower" or "upper"
-    log_level: float
-    variance: float  # sigma_k^2 * dt
-
-
-@dataclass(frozen=True)
 class _StepKernel:
     drift: np.ndarray  # (d, 1) (mu - sigma^2/2) dt, a column against (d, rows) prices
     vol: np.ndarray  # (d, 1) sigma sqrt(dt)
     factor: np.ndarray | None  # None where the regime's factor is the identity
-    events: tuple[_EventKernel, ...]
+    events: tuple[_Event, ...]
 
 
 @dataclass(frozen=True)
@@ -177,36 +170,12 @@ def _plan(model: MarketModel) -> _EnginePlan:
             if np.array_equal(factor, np.eye(model.d)):
                 factor = None
         dt = model.grid.dt(m)
-        events = [
-            _EventKernel(
-                asset=k,
-                side=side,
-                log_level=math.log(level),
-                variance=float(regime.sigma[k]) ** 2 * dt,
-            )
-            for k, side, level in _active_events(regime)
-        ]
+        events = _events(regime, dt)
         exact = exact and len(events) <= 1
-        steps.append(
-            _StepKernel(
-                drift=((regime.mu - 0.5 * regime.sigma**2) * dt)[:, None],
-                vol=(regime.sigma * math.sqrt(dt))[:, None],
-                factor=factor,
-                events=tuple(events),
-            )
-        )
-    return _EnginePlan(
-        d=model.d, log_spot=np.log(model.spot), steps=tuple(steps), exact=exact
-    )
-
-
-def _apply_event_alive(alive: np.ndarray, x0: np.ndarray, x1: np.ndarray, ev: _EventKernel) -> None:
-    # Both endpoints of the interval must sit strictly inside the barrier;
-    # x0 and x1 are the event asset's log prices.
-    if ev.side == "lower":
-        alive &= (x0 > ev.log_level) & (x1 > ev.log_level)
-    else:
-        alive &= (x0 < ev.log_level) & (x1 < ev.log_level)
+        drift = ((regime.mu - 0.5 * regime.sigma**2) * dt)[:, None]
+        vol = (regime.sigma * math.sqrt(dt))[:, None]
+        steps.append(_StepKernel(drift, vol, factor, events))
+    return _EnginePlan(model.d, np.log(model.spot), tuple(steps), exact)
 
 
 def _front(buffer: np.ndarray, d: int, rows: int) -> np.ndarray:
@@ -263,8 +232,7 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
         np.add(x0, kernel.drift, out=x1)
         zt *= kernel.vol
         x1 += zt
-        for ev in kernel.events:
-            _apply_event_alive(state.alive, x0[ev.asset], x1[ev.asset], ev)
+        _clear_touched(state.alive, kernel.events, x0, x1)
         yield kernel, x0, x1
         x0, x1 = x1, x0
 
@@ -287,11 +255,7 @@ def _compute_batch(
             # Rows that touch a barrier are dead, and the alive mask zeroes
             # their weights below, so the hit probability is taken as if
             # every row were inside.
-            xis = (
-                _xi_inside(x0[ev.asset], x1[ev.asset], ev.log_level, ev.variance)
-                for ev in kernel.events
-            )
-            for w, p in zip(state.weights, _combine(xis)):
+            for w, p in zip(state.weights, _no_hit(kernel.events, x0, x1)):
                 w *= p
     # Weights lie in [0, 1], so a dead row becomes +0.0.
     for w in state.weights:
@@ -309,14 +273,7 @@ def _compute_batch(
         cols = [state.alive, *state.weights]
     alive, *weights = (col[:rows] for col in cols)
     w_lower, w_indep, w_upper = weights * 3 if plan.exact else weights
-    return PathBatch(
-        terminal=terminal,
-        alive=alive,
-        w_lower=w_lower,
-        w_indep=w_indep,
-        w_upper=w_upper,
-        exact=plan.exact,
-    )
+    return PathBatch(terminal, alive, w_lower, w_indep, w_upper, plan.exact)
 
 
 def path_batches(model: MarketModel, n_paths: int, seed: int = 0):

@@ -2,11 +2,14 @@
 
 Collects one verdict line per acceptance gate so the end-of-run summary
 shows them even when every test passes under output capture.  The scalar
-Frechet bounds and independence product are the references that the
-engine's vectorized combine (``bridge._combine``) is tested against.
+bridge hit probability, Frechet bounds and independence product are the
+references that the vectorized kernel (``bridge._no_hit`` and
+``bridge._combine``) is tested against.
 """
 
 from __future__ import annotations
+
+import math
 
 _VERDICTS: list[tuple[str, bool]] = []
 
@@ -21,6 +24,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance summary")
     for label, passed in _VERDICTS:
         terminalreporter.write_line(f"{label}: {'PASS' if passed else 'FAIL'}")
+
+
+def hit_probability(s0: float, s1: float, barrier: float, sigma: float, dt: float) -> float:
+    """Probability that a log-price bridge from ``s0`` to ``s1`` touches ``barrier``.
+
+    ``exp(-2 ln(barrier/s0) ln(barrier/s1) / (sigma^2 dt))`` over ``dt``
+    years at volatility ``sigma``; both prices must lie strictly on the same
+    side of the barrier, which makes the same formula serve either side.
+    """
+    return math.exp(-2.0 * math.log(barrier / s0) * math.log(barrier / s1) / (sigma * sigma * dt))
 
 
 def frechet_bounds(hit_probs) -> tuple[float, float]:

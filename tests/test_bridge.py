@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import frechet_bounds, independent_no_hit
+from conftest import frechet_bounds, hit_probability, independent_no_hit
 
 from bridgebound import bridge
 from bridgebound.bridge import (
@@ -25,7 +25,6 @@ from bridgebound.bridge import (
     _combine,
     interval_weights,
     oracle_no_hit,
-    xi,
 )
 from bridgebound.model import ModelError, Regime, factor_correlation
 
@@ -37,58 +36,75 @@ XI_ASYM = 0.5183512805426554
 XI_UPPER = 0.5766742660839560
 
 
+def one_asset_ctx(s0=100.0, s1=100.0, lower=90.0, upper=None, sigma=0.3, dt=0.5):
+    regime = Regime(mu=[0.1], sigma=[sigma], lower=[lower], upper=[upper])
+    return IntervalContext(s0=[s0], s1=[s1], regime=regime, dt=dt)
+
+
+def hit(s0, s1, sigma=0.3, dt=0.5, lower=None, upper=None):
+    """One barrier event's hit probability xi, read from the interval weights."""
+    w = interval_weights(one_asset_ctx(s0, s1, lower=lower, upper=upper, sigma=sigma, dt=dt))
+    assert w.p_exact is not None
+    return 1.0 - w.p_exact
+
+
 class TestXi:
+    """The one-event hit probability, as ``1 - p_exact`` of the interval weights."""
+
     def test_barrier_at_both_endpoints_is_certain_hit(self):
-        assert xi(100.0, 100.0, 100.0, 0.3, 0.5) == 1.0
+        assert hit(100.0, 100.0, lower=100.0) == 1.0
 
     def test_flat_endpoints_reference_value(self):
-        assert math.isclose(xi(100.0, 100.0, 90.0, 0.3, 0.5), XI_FLAT, rel_tol=1e-13)
+        assert math.isclose(hit(100.0, 100.0, lower=90.0), XI_FLAT, rel_tol=1e-13)
 
     def test_asymmetric_endpoints_reference_value(self):
-        assert math.isclose(xi(100.0, 105.0, 95.0, 0.25, 0.25), XI_ASYM, rel_tol=1e-13)
+        value = hit(100.0, 105.0, sigma=0.25, dt=0.25, lower=95.0)
+        assert math.isclose(value, XI_ASYM, rel_tol=1e-13)
 
     def test_upper_barrier_reference_value(self):
-        value = xi(100.0, 98.0, 110.0, 0.2, 1.0, side="upper")
+        value = hit(100.0, 98.0, sigma=0.2, dt=1.0, upper=110.0)
         assert math.isclose(value, XI_UPPER, rel_tol=1e-13)
 
     def test_far_barrier_vanishes(self):
         """Sending a lower barrier toward 0 kills the hit probability."""
-        values = [xi(100.0, 100.0, b, 0.3, 0.5) for b in (50.0, 10.0, 1.0, 1e-12)]
+        values = [hit(100.0, 100.0, lower=b) for b in (50.0, 10.0, 1.0, 1e-12)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] < 1e-5
-        assert values[-1] == 0.0  # underflow flushes to the correct limit
+        assert values[-1] == 0.0  # underflow flushes p_exact to exactly 1.0
 
     def test_zero_barrier(self):
-        assert xi(100.0, 100.0, 0.0, 0.3, 0.5) == 0.0
+        """A lower barrier at 0 is no event: certain no-hit, all fields exact."""
+        w = interval_weights(one_asset_ctx(lower=0.0))
+        assert w == BridgeWeights(1.0, 1.0, 1.0, 1.0)
 
-    def test_upper_barrier_at_zero_always_breached(self):
-        assert xi(100.0, 100.0, 0.0, 0.3, 0.5, side="upper") == 1.0
+    def test_upper_barrier_at_zero_refused(self):
+        with pytest.raises(ModelError, match="upper barrier on asset 0 must be > 0"):
+            one_asset_ctx(lower=None, upper=0.0)
 
     def test_endpoint_breach_lower(self):
-        assert xi(100.0, 89.0, 90.0, 0.3, 0.5) == 1.0
-        assert xi(90.0, 100.0, 90.0, 0.3, 0.5) == 1.0
+        assert hit(100.0, 89.0, lower=90.0) == 1.0
+        assert hit(90.0, 100.0, lower=90.0) == 1.0
 
     def test_endpoint_breach_upper(self):
-        assert xi(100.0, 111.0, 110.0, 0.3, 0.5, side="upper") == 1.0
-        assert xi(110.0, 100.0, 110.0, 0.3, 0.5, side="upper") == 1.0
+        assert hit(100.0, 111.0, upper=110.0) == 1.0
+        assert hit(110.0, 100.0, upper=110.0) == 1.0
 
     def test_value_in_open_unit_interval(self):
-        v = xi(100.0, 102.0, 95.0, 0.2, 0.25)
+        v = hit(100.0, 102.0, sigma=0.2, dt=0.25, lower=95.0)
         assert 0.0 < v < 1.0
 
     def test_monotone_in_barrier_distance(self):
-        closer = xi(100.0, 100.0, 95.0, 0.3, 0.5)
-        farther = xi(100.0, 100.0, 85.0, 0.3, 0.5)
+        closer = hit(100.0, 100.0, lower=95.0)
+        farther = hit(100.0, 100.0, lower=85.0)
         assert closer > farther
 
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError, match="side"):
-            xi(100.0, 100.0, 90.0, 0.3, 0.5, side="sideways")
-
-
-def one_asset_ctx(s0=100.0, s1=100.0, lower=90.0, upper=None, sigma=0.3, dt=0.5):
-    regime = Regime(mu=[0.1], sigma=[sigma], lower=[lower], upper=[upper])
-    return IntervalContext(s0=[s0], s1=[s1], regime=regime, dt=dt)
+    @pytest.mark.parametrize(
+        "s0, s1, lower, upper",
+        [(100.0, 104.0, 90.0, None), (97.0, 92.0, 91.5, None), (100.0, 104.0, None, 112.0)],
+    )
+    def test_matches_scalar_formula(self, s0, s1, lower, upper):
+        expected = hit_probability(s0, s1, lower or upper, 0.25, 0.5)
+        assert math.isclose(hit(s0, s1, 0.25, 0.5, lower, upper), expected, rel_tol=1e-13)
 
 
 class TestIntervalContextValidation:
@@ -115,6 +131,35 @@ class TestIntervalContextValidation:
     def test_non_positive_or_non_finite_dt_refused(self, bad):
         with pytest.raises(ModelError, match="dt"):
             IntervalContext(s0=[100.0], s1=[100.0], regime=self.REGIME, dt=bad)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("sigma", {"sigma": [math.nan]}),
+            ("sigma", {"sigma": [-0.3]}),
+            ("sigma", {"sigma": [0.0]}),
+            ("lower", {"lower": [math.nan]}),
+            ("lower", {"lower": [-5.0]}),
+            ("upper", {"lower": [None], "upper": [0.0]}),
+            ("mu", {"mu": [0.0, 0.0]}),
+        ],
+        ids=[
+            "sigma-nan", "sigma-negative", "sigma-zero", "lower-nan", "lower-negative",
+            "upper-zero", "mu-length",
+        ],
+    )
+    def test_invalid_regime_refused(self, field, bad):
+        """Refused at construction, not priced into all-zero or all-one
+        weights, or into 0.389 for a negative sigma."""
+        regime = Regime(**{"mu": [0.0], "sigma": [0.3], "lower": [90.0], **bad})
+        with pytest.raises(ModelError, match=rf"^regime: .*\b{field}\b"):
+            IntervalContext(s0=[100.0], s1=[100.0], regime=regime, dt=0.5)
+
+    def test_non_psd_correlation_refused(self):
+        corr = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+        regime = Regime(mu=[0.0] * 3, sigma=[0.3] * 3, corr=corr)
+        with pytest.raises(ModelError, match="regime: correlation is not positive semi-definite"):
+            IntervalContext(s0=[100.0] * 3, s1=[100.0] * 3, regime=regime, dt=0.5)
 
     def test_scalar_prices_accepted_for_one_asset(self):
         ctx = IntervalContext(s0=100.0, s1=100.0, regime=self.REGIME, dt=0.5)
@@ -241,8 +286,8 @@ class TestIntervalWeights:
     def test_double_barrier_matches_bound_arithmetic(self):
         ctx = one_asset_ctx(lower=90.0, upper=112.0, sigma=0.25, dt=0.5, s1=104.0)
         xis = [
-            xi(100.0, 104.0, 90.0, 0.25, 0.5, "lower"),
-            xi(100.0, 104.0, 112.0, 0.25, 0.5, "upper"),
+            hit_probability(100.0, 104.0, 90.0, 0.25, 0.5),
+            hit_probability(100.0, 104.0, 112.0, 0.25, 0.5),
         ]
         w = interval_weights(ctx)
         lower, upper = frechet_bounds(xis)
@@ -254,8 +299,9 @@ class TestIntervalWeights:
     def test_zero_lower_barrier_is_not_an_event(self):
         """A lower barrier at 0 is never hit, so the upper one is exact."""
         w = interval_weights(one_asset_ctx(lower=0.0, upper=115.0, s1=104.0))
-        expected = 1.0 - xi(100.0, 104.0, 115.0, 0.3, 0.5, "upper")
-        assert w == BridgeWeights(expected, expected, expected, expected)
+        expected = 1.0 - hit_probability(100.0, 104.0, 115.0, 0.3, 0.5)
+        assert w.p_lower == w.p_indep == w.p_upper == w.p_exact
+        assert math.isclose(w.p_exact, expected, rel_tol=1e-13)
 
     def test_ordering_on_random_contexts(self):
         rng = np.random.default_rng(17)
@@ -309,12 +355,6 @@ class TestOracleNoHit:
             oracle_no_hit(ctx, substeps=50, trials=20_000)
         with pytest.raises(ValueError, match="trials"):
             oracle_no_hit(ctx, substeps=400, trials=100)
-
-    def test_zero_volatility_untouched_barriers(self):
-        """A degenerate bridge is a straight line that never strays."""
-        regime = Regime(mu=[0.0], sigma=[0.0], lower=[90.0], upper=[120.0])
-        ctx = IntervalContext(s0=[100.0], s1=[110.0], regime=regime, dt=0.5)
-        assert oracle_no_hit(ctx, substeps=200, trials=10_000, seed=1) == (1.0, 0.0)
 
     def test_no_active_barriers(self):
         regime = Regime(mu=[0.1], sigma=[0.3])

@@ -412,7 +412,7 @@ class TestPathContributions:
 
 class TestStandardErrors:
     def test_matches_direct_formula(self):
-        """Chunked (sum, sumsq) reduction equals the textbook estimate."""
+        """Chunked two-pass reduction equals the textbook estimate."""
         model, spec = load_config("table1a", steps=2)
         n = 50_000
         report = price(model, spec, n, seed=5)
@@ -420,6 +420,33 @@ class TestStandardErrors:
         c = cols["payoff"] * cols["alive"].astype(float) * cols["w_exact"]
         se = float(np.std(c, ddof=1)) / math.sqrt(n)
         assert report.q_exact.std_error == pytest.approx(se, rel=1e-10)
+
+    def test_no_cancellation_against_a_large_mean(self):
+        """A payoff of 1e8 + 0.01 S has a spread of about 0.3 on a mean of
+        1e8; a one-pass sum of squares read 2.56e-3 here, not 6.85e-4."""
+        model = MarketModel(
+            spot=[100.0],
+            rate=0.05,
+            grid=TimeGrid.uniform(1.0, 4),
+            regimes=Regime(mu=[0.05], sigma=[0.3], lower=[1.0]),
+        )
+        spec = OptionSpec(kind="custom", payoff=lambda s: 1e8 + 0.01 * s[:, 0])
+        n = 200_000
+        report = price(model, spec, n, seed=1)
+        cols = path_contributions(model, spec, n, seed=1)
+        c = cols["payoff"] * cols["w_lower"]
+        dev = c - np.mean(c)
+        se = math.sqrt(float(dev @ dev) / (n - 1) / n)
+        assert se == pytest.approx(6.85e-4, rel=1e-3)
+        assert report.q_lower.std_error == pytest.approx(se, rel=1e-9)
+
+    @pytest.mark.parametrize("value", [1.357, 7.3])
+    def test_constant_contributions_have_zero_error(self, value):
+        """Every path pays the same, so the standard error is exactly 0; a
+        one-pass sum of squares read 1.1e-10 at 1.357."""
+        spec = OptionSpec(kind="custom", payoff=lambda s: np.full(len(s), value))
+        report = price(barrier_free_model(), spec, 2 * CHUNK + 1000, seed=1)
+        assert report.q_s.std_error == report.q_exact.std_error == 0.0
 
     def test_se_shrinks_with_n(self):
         model, spec = load_config("table1a")
