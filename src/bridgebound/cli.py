@@ -5,7 +5,8 @@ frequencies, ``table`` to reproduce a published reference table with golden
 checks, and ``fit`` to estimate a convergence rate from a sweep CSV.
 Outputs are UTF-8 CSV with a header and LF line ends (JSON with
 ``--format json``); the ``table`` subcommand prints its comparison report
-as text by default.
+as text by default.  Every output ends with a line end, and ``--output``
+writes to its file the same bytes that stdout would get.
 
 Exit codes: 0 success, 1 validation or usage error, 2 golden-check failure.
 """
@@ -17,7 +18,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
+from typing import Iterator, TextIO
 
 from .estimators import price as price_option
 from .harness import (
@@ -96,14 +99,19 @@ def _output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
-def _emit(text: str, output: str | None) -> None:
+@contextmanager
+def _sink(output: str | None) -> Iterator[TextIO]:
+    """stdout, or the file ``output`` opened as UTF-8 with LF line ends."""
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _sink(output) as out:
+        out.write(text if text.endswith("\n") else text + "\n")
 
 
 def _rows_to_csv(rows: list[dict[str, str]]) -> str:
@@ -141,11 +149,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(config=args.config, m_values=m_values, n_paths=args.paths, seed=args.seed)
     if args.format == "csv":
         # Rows stream out as each M finishes.
-        if args.output is None:
-            run_sweep(spec, workers=args.workers, out=sys.stdout)
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                run_sweep(spec, workers=args.workers, out=fh)
+        with _sink(args.output) as out:
+            run_sweep(spec, workers=args.workers, out=out)
         return 0
     reports = run_sweep(spec, workers=args.workers)
     payload = {

@@ -8,6 +8,10 @@ between; V * I alone is the discretely monitored estimator q_s.  Knock-in
 prices come from in-out parity applied path-wise, V * (1 - I * W), which
 swaps the roles of the two bounds.  A cash rebate R paid at maturity when
 the option knocks out blends both legs: V * I * W + R_disc * (1 - I * W).
+Every column is that one expression, A * I * W + D * (1 - I * W), with
+(A, D) = (V, R_disc) for knock-out and (0, V) for knock-in.  Where every
+interval has at most one barrier event the three weights coincide and
+q_exact is their common value.
 
 Per-path contributions are reduced chunk by chunk in a fixed order, so
 results are bit-identical for any worker count.
@@ -23,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import MarketModel, OptionSpec, validate
-from .simulate import _compute_batch, _n_chunks, _plan, path_batches
+from .simulate import _compute_batch, _n_chunks, _plan
 
 __all__ = [
     "EstimatorResult",
@@ -187,40 +191,26 @@ def price(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     validate(model, spec).raise_if_invalid()
-    knock_in = spec.knock == "in"
-    if knock_in and spec.rebate != 0.0:
-        raise ValueError("rebate is only supported for knock-out options")
+    knock_out = spec.knock == "out"
     plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)
-    r_disc = spec.rebate * discount
 
     def partials(chunk_index: int) -> list[tuple[int, float, float, float]]:
-        batch = _compute_batch(plan, seed, chunk_index, n_paths, compact=not knock_in)
-        if knock_in:
-            v = discount * spec.terminal_payoff(batch.terminal)
-        else:
-            # A knock-out contribution reads nothing of a dead row, so its
-            # walk drops them and the payoff sees the alive rows' terminals
-            # only; a dead row's v is +0.0.
-            v = np.zeros(len(batch.alive))
-            if len(batch.terminal):
-                v[batch.alive] = discount * spec.terminal_payoff(batch.terminal)
-        # Survival I * W per path for q_s, q_lower, q_indep, q_upper; the
-        # engine's weights already carry I as +0.0 on dead rows.  An exact
-        # batch's three weights are one array, reduced once.
-        survs = [batch.alive.astype(float), batch.w_lower]
-        if not batch.exact:
-            survs += [batch.w_indep, batch.w_upper]
+        # A knock-out contribution reads nothing of a dead row, so its walk
+        # drops them and the payoff sees the alive rows' terminals only; a
+        # dead row's v is +0.0.  A knock-in walk returns every row's terminal.
+        batch = _compute_batch(plan, seed, chunk_index, n_paths, compact=knock_out)
+        v = np.zeros(len(batch.alive))
+        if len(batch.terminal):
+            v[batch.alive if knock_out else ...] = discount * spec.terminal_payoff(batch.terminal)
+        # What a path pays if it survives and if it does not.
+        alive_pay, dead_pay = (v, spec.rebate * discount) if knock_out else (0.0, v)
         sums = []
-        for surv in survs:
-            if knock_in:
-                c = v * (1.0 - surv)
-            else:
-                # A dead row is +0.0 * +0.0 = +0.0, so every column is added
-                # at full length, in row order.
-                c = v * surv
-                if r_disc != 0.0:
-                    c = c + r_disc * (1.0 - surv)
+        # Survival I * W per path for q_s, q_lower, q_indep, q_upper; the
+        # engine's weights already carry I as +0.0 on dead rows, and every
+        # column is added at full length, in row order.
+        for surv in (batch.alive.astype(float), batch.w_lower, batch.w_indep, batch.w_upper):
+            c = alive_pay * surv + dead_pay * (1.0 - surv)
             # The chunk's count, sum, mean and sum of squared deviations
             # from that mean: two-pass, so nothing cancels against a large
             # mean.  The mean is refined by its residual, which makes it
@@ -232,7 +222,7 @@ def price(
             np.subtract(c, mean, out=dev)
             dev *= dev
             sums.append((len(c), s, mean, float(np.sum(dev))))
-        return sums + [sums[1]] * 2 if batch.exact else sums
+        return sums
 
     n_chunks = _n_chunks(n_paths)
     if workers > 1 and n_chunks > 1:
@@ -259,7 +249,7 @@ def price(
         se = math.sqrt(m2 / (n_paths - 1) / n_paths)
         columns.append(EstimatorResult(mean=mean, std_error=se))
     q_s, q_lower, q_indep, q_upper = columns
-    if knock_in:
+    if not knock_out:
         # The lower no-hit bound yields the upper knock-in price and vice versa.
         q_lower, q_upper = q_upper, q_lower
     q0, q1, q2 = point_estimators(q_lower, q_indep, q_upper)
@@ -295,9 +285,11 @@ def path_contributions(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     validate(model, spec).raise_if_invalid()
+    plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)
     parts: dict[str, list[np.ndarray]] = {}
-    for batch in path_batches(model, n_paths, seed):
+    for chunk_index in range(_n_chunks(n_paths)):
+        batch = _compute_batch(plan, seed, chunk_index, n_paths)
         cols = {
             "payoff": discount * spec.terminal_payoff(batch.terminal),
             "alive": batch.alive,
@@ -305,7 +297,7 @@ def path_contributions(
             "w_indep": batch.w_indep,
             "w_upper": batch.w_upper,
         }
-        if batch.exact:
+        if plan.exact:
             cols["w_exact"] = batch.w_upper
         for name, arr in cols.items():
             parts.setdefault(name, []).append(arr)

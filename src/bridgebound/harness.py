@@ -52,6 +52,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(float(m).is_integer() for m in self.m_values):
+            raise ValueError(f"m_values must be integers, got {tuple(self.m_values)}")
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if not self.m_values:
             raise ValueError("m_values must be non-empty")

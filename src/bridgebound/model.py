@@ -172,7 +172,8 @@ class OptionSpec:
     (n,); any other output raises ModelError.  A knock-out price passes the
     hook only the paths that survive to maturity; the payoff of a knocked-out
     path is never read.
-    ``rebate`` is paid at maturity if the option knocks out.
+    ``rebate`` is paid at maturity if the option knocks out; a knock-in
+    option takes none.
     """
 
     kind: str = "call"
@@ -322,7 +323,7 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
         report.violations.append("time grid needs at least one step")
     if not np.all(np.isfinite(dates)):
         report.violations.append("grid dates must be finite")
-    if dates[0] != 0.0:
+    if dates.size and dates[0] != 0.0:
         report.violations.append(f"grid must start at 0, got {dates[0]}")
     if np.any(np.diff(dates) <= 0.0):
         report.violations.append("grid dates must be strictly increasing")
@@ -338,8 +339,12 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
             f"expected {model.grid.n_steps} regimes, got {len(model.regimes)}"
         )
 
+    # A broadcast regime is one object: check it once, under its first step.
+    checked: set[int] = set()
     for m, regime in enumerate(model.regimes):
-        report.violations += _regime_violations(regime, d, f"regime {m}")
+        if id(regime) not in checked:
+            checked.add(id(regime))
+            report.violations += _regime_violations(regime, d, f"regime {m}")
 
     # Dead-at-inception configurations: strictly outside is a hard error,
     # exactly on the barrier is reported (boundary counts as a hit).
@@ -377,6 +382,8 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
             report.violations.append("rebate must be finite")
         if spec.rebate < 0.0:
             report.violations.append("rebate must be >= 0")
+        if spec.knock == "in" and spec.rebate != 0.0:
+            report.violations.append("rebate is only supported for knock-out options")
         if not 0 <= spec.asset < d:
             report.violations.append(f"option asset index {spec.asset} out of range for d={d}")
 

@@ -24,18 +24,22 @@ layout changes no bit.
 Prices evolve in log space; exponentials happen only where prices are
 reported.  A sampled value exactly on a barrier counts as a hit.  Each
 step's events, alive check and no-hit bounds are bridge.py's vector kernel.
+A chunk's alive flags and weights always come back at full length, dropped
+rows as dead; the walk mode only chooses which terminal prices come back.
+The public entries refuse any model that ``validate`` refuses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtri
 
 from .bridge import _clear_touched, _Event, _events, _no_hit
-from .model import MarketModel, factor_correlation
+from .model import MarketModel, factor_correlation, validate
 
 __all__ = [
     "CHUNK",
@@ -80,12 +84,12 @@ class PathBatch:
 
     The batch analog of PathState, keeping only what estimators need:
     terminal prices, the discrete no-hit indicator, and the accumulated
-    per-path no-hit weight under each bound.  ``exact`` is set when every
-    interval has at most one active barrier event; the three weights are
-    then one array, the exact weight.  ``terminal`` has shape (rows, d) and
-    may be the transposed view of an asset-major array.  A batch walked
-    with dead rows dropped carries the terminal prices of its alive rows
-    only, in row order; ``alive`` and the weights always cover every row.
+    per-path no-hit weight under each bound.  Where every interval has at
+    most one active barrier event the three weights are one array, the
+    exact weight.  ``terminal`` has shape (rows, d) and may be the
+    transposed view of an asset-major array.  A batch walked with dead rows
+    dropped carries the terminal prices of its alive rows only, in row
+    order; ``alive`` and the weights always cover every row.
     """
 
     terminal: np.ndarray
@@ -93,7 +97,6 @@ class PathBatch:
     w_lower: np.ndarray
     w_indep: np.ndarray
     w_upper: np.ndarray
-    exact: bool
 
 
 def _stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -243,13 +246,12 @@ def _compute_batch(
     """Simulate the paths of one chunk that lie among the first ``n_paths``.
 
     With ``compact`` the walk drops dead rows, and the batch carries the
-    terminal prices of the alive rows only.
+    terminal prices of the alive rows only.  The plan has at least one step.
     """
     rows = min(CHUNK, n_paths - chunk_index * CHUNK)
     walked = max(rows, _MIN_ROWS)
     # An exact plan's three weights are equal bit for bit: carry one.
     state = _Rows(walked, rows, n_weights=1 if plan.exact else 3)
-    x1 = np.broadcast_to(plan.log_spot[:, None], (plan.d, walked))  # a grid without steps
     for kernel, x0, x1 in _walk(plan, seed, chunk_index, state, compact):
         if kernel.events:
             # Rows that touch a barrier are dead, and the alive mask zeroes
@@ -260,27 +262,26 @@ def _compute_batch(
     # Weights lie in [0, 1], so a dead row becomes +0.0.
     for w in state.weights:
         w *= state.alive
-    if compact:
-        terminal = np.exp(x1[:, state.alive]).T
-        # Rows that the walk dropped are dead: False, and +0.0 weights.
-        cols = []
-        for kept in (state.alive, *state.weights):
-            full = np.zeros(walked, kept.dtype)
-            full[state.index] = kept
-            cols.append(full)
-    else:
-        terminal = np.exp(x1[:, :rows]).T
-        cols = [state.alive, *state.weights]
-    alive, *weights = (col[:rows] for col in cols)
+    # Rows that a compacting walk dropped are dead: False, and +0.0 weights.
+    cols = []
+    for kept in (state.alive, *state.weights):
+        full = np.zeros(walked, kept.dtype)
+        full[state.index] = kept
+        cols.append(full[:rows])
+    alive, *weights = cols
     w_lower, w_indep, w_upper = weights * 3 if plan.exact else weights
-    return PathBatch(terminal, alive, w_lower, w_indep, w_upper, plan.exact)
+    terminal = np.exp(x1[:, state.alive] if compact else x1[:, :rows]).T
+    return PathBatch(terminal, alive, w_lower, w_indep, w_upper)
 
 
-def path_batches(model: MarketModel, n_paths: int, seed: int = 0):
-    """Yield PathBatch chunks covering ``n_paths`` paths, in chunk order."""
+def path_batches(model: MarketModel, n_paths: int, seed: int = 0) -> Iterator[PathBatch]:
+    """PathBatch chunks covering ``n_paths`` paths, in chunk order.
+
+    Raises ModelError at the call for a model that :func:`validate` refuses.
+    """
+    validate(model).raise_if_invalid()
     plan = _plan(model)
-    for chunk_index in range(_n_chunks(n_paths)):
-        yield _compute_batch(plan, seed, chunk_index, n_paths)
+    return (_compute_batch(plan, seed, c, n_paths) for c in range(_n_chunks(n_paths)))
 
 
 def _n_chunks(n_paths: int) -> int:
@@ -292,10 +293,12 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
 
     The chunk containing ``path_index`` is regenerated up to the path's row
     and the row extracted, so the result never depends on worker count or on
-    how many other paths a pricing run asked for.
+    how many other paths a pricing run asked for.  Raises ModelError for a
+    model that :func:`validate` refuses.
     """
     if path_index < 0:
         raise ValueError("path_index must be >= 0")
+    validate(model).raise_if_invalid()
     plan = _plan(model)
     chunk_index, row = divmod(path_index, CHUNK)
     values = np.empty((len(plan.steps) + 1, plan.d))

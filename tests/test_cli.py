@@ -140,13 +140,26 @@ class TestSweep:
         rows = parse_csv(target.read_text(encoding="utf-8"))
         assert {row["m"] for row in rows} == {"1", "2"}
 
-    def test_output_file_matches_stdout(self, tmp_path, capsys):
-        """Both sweep CSV sinks write the same bytes, LF line ends included."""
-        argv = ("sweep", "table2", "--m", "1,2", "--paths", "2000", "--seed", "7")
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "table2", "--m", "1,2", "--paths", "2000", "--seed", "7"),
+        ("sweep", "table2", "--m", "1,2", "--paths", "2000", "--seed", "7", "--format", "json"),
+        ("price", "table1a", "--paths", "2000"),
+        ("price", "table1a", "--paths", "2000", "--format", "json"),
+        ("table", "2", "--paths", "2000", "--seed", "3"),
+        ("table", "2", "--paths", "2000", "--seed", "3", "--format", "json"),
+        ("fit", "{sweep}", "--kind", "exp"),
+        ("fit", "{sweep}", "--kind", "exp", "--format", "json"),
+    ], ids=["sweep-csv", "sweep-json", "price-csv", "price-json", "table-text", "table-json",
+            "fit-csv", "fit-json"])
+    def test_output_file_matches_stdout(self, tmp_path, capsys, argv):
+        """stdout and the --output file get the same bytes, final LF included."""
+        source = tmp_path / "sweep_in.csv"
+        TestFit.write_sweep(source, "exp")
+        argv = tuple(str(source) if arg == "{sweep}" else arg for arg in argv)
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        target = tmp_path / "sweep.csv"
-        assert run_cli(capsys, *argv, "--output", str(target))[0] == 0
+        assert out.endswith("\n")
+        target = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", "")
         assert target.read_bytes() == out.encode("utf-8")
         assert b"\r" not in target.read_bytes()
 

@@ -52,6 +52,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=">= 1"):
             SweepSpec(config="table2", m_values=(0, 1), n_paths=100)
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan], ids=["fraction", "nan"])
+    def test_m_values_integral(self, bad):
+        """A fractional M is refused, not truncated to an integer."""
+        with pytest.raises(ValueError, match="m_values must be integers"):
+            SweepSpec(config="table2", m_values=(1, bad), n_paths=100)
+
+    def test_integral_floats_accepted(self):
+        assert SweepSpec(config="table2", m_values=(1, 2.0), n_paths=100).m_values == (1, 2)
+
     def test_n_paths_floor(self):
         with pytest.raises(ValueError, match="n_paths"):
             SweepSpec(config="table2", m_values=(1,), n_paths=1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def one_asset_model(
     regime = Regime(mu=[rate], sigma=[sigma], lower=[lower], upper=[upper])
     return MarketModel(
         spot=[spot], rate=rate, grid=TimeGrid.uniform(maturity, steps), regimes=(regime,)
+    )
+
+
+FREE = Regime(mu=[0.1], sigma=[0.3])
+
+
+def two_asset_model(corr) -> MarketModel:
+    regime = Regime(mu=[0.1, 0.1], sigma=[0.2, 0.2], corr=corr)
+    return MarketModel(
+        spot=[100.0, 100.0], rate=0.1, grid=TimeGrid.uniform(1.0, 1), regimes=(regime,)
     )
 
 
@@ -244,6 +255,76 @@ class TestValidate:
         assert "knock" in text
         assert "asset index" in text
 
+    def test_rebate_on_knock_in_flagged(self):
+        """``validate`` reports the spec that ``price`` refuses."""
+        report = validate(one_asset_model(), OptionSpec(strike=100.0, knock="in", rebate=1.0))
+        assert report.violations == ["rebate is only supported for knock-out options"]
+        with pytest.raises(ModelError, match="rebate"):
+            report.raise_if_invalid()
+
+    def test_broadcast_regime_checked_once(self):
+        """One bad regime broadcast over 64 steps gives one message per field, not 64."""
+        regime = Regime(mu=[np.nan], sigma=[np.nan], lower=[90.0])
+        model = MarketModel(
+            spot=[100.0], rate=0.1, grid=TimeGrid.uniform(1.0, 64), regimes=regime
+        )
+        assert validate(model).violations == [
+            "regime 0: mu must be finite",
+            "regime 0: sigma must be finite",
+        ]
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            pytest.param(
+                MarketModel(spot=[100.0], rate=0.1, grid=TimeGrid([0.0]), regimes=()),
+                "time grid needs at least one step",
+                id="grid-without-steps",
+            ),
+            pytest.param(
+                MarketModel(spot=[100.0], rate=0.1, grid=TimeGrid([]), regimes=()),
+                "time grid needs at least one step",
+                id="grid-without-dates",
+            ),
+            pytest.param(
+                MarketModel(
+                    spot=[100.0], rate=0.1, grid=TimeGrid([0.25, 0.5, 1.0]), regimes=FREE
+                ),
+                "grid must start at 0, got 0.25",
+                id="grid-not-at-zero",
+            ),
+            pytest.param(
+                MarketModel(
+                    spot=[100.0], rate=0.1, grid=TimeGrid.uniform(1.0, 3), regimes=(FREE, FREE)
+                ),
+                "expected 3 regimes, got 2",
+                id="regime-count",
+            ),
+            pytest.param(
+                two_asset_model(np.eye(3)),
+                "regime 0: correlation must be 2x2",
+                id="corr-shape",
+            ),
+            pytest.param(
+                two_asset_model([[1.0, 0.2], [0.2, 0.9]]),
+                "regime 0: correlation diagonal must be 1",
+                id="corr-diagonal",
+            ),
+            pytest.param(
+                # off its unit diagonal too: a unit diagonal with an entry
+                # beyond 1 is indefinite, which raises instead
+                two_asset_model([[4.0, 1.5], [1.5, 4.0]]),
+                "regime 0: correlation entries must lie in [-1, 1]",
+                id="corr-range",
+            ),
+        ],
+    )
+    def test_refusal_named(self, model, message):
+        report = validate(model)
+        assert message in report.violations
+        with pytest.raises(ModelError):
+            report.raise_if_invalid()
+
     def test_custom_kind_needs_hook(self):
         model = one_asset_model()
         report = validate(model, OptionSpec(kind="custom", strike=0.0))
@@ -334,6 +415,36 @@ class TestLoadConfig:
         regime = {"sigma": [0.3, 0.3]}
         cfg = dict(BASE_CONFIG, regimes=[regime, regime])
         with pytest.raises(ModelError, match="length 1 or 4"):
+            load_config(cfg)
+
+    def test_explicit_dates(self):
+        """``grid.dates`` sets a non-uniform grid; a single regime broadcasts over it."""
+        model, spec = load_config(dict(BASE_CONFIG, grid={"dates": [0.0, 0.25, 1.0]}))
+        assert np.array_equal(model.grid.dates, [0.0, 0.25, 1.0])
+        assert np.array_equal(model.grid.step_sizes, [0.25, 0.75])
+        assert len(model.regimes) == 2
+        assert validate(model, spec).ok
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            pytest.param(
+                dict(BASE_CONFIG, regimes=[]), "regimes must be a non-empty list", id="no-regimes"
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, regimes=[{"lower": [None, 90.0]}]),
+                "regime is missing required key 'sigma'",
+                id="regime-without-sigma",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, grid=[1.0, 4]),
+                "grid section must be a JSON object",
+                id="section-not-object",
+            ),
+        ],
+    )
+    def test_refusal_named(self, cfg, message):
+        with pytest.raises(ModelError, match=re.escape(message)):
             load_config(cfg)
 
     def test_unknown_key_rejected(self):

@@ -13,7 +13,15 @@ from scipy.special import ndtri
 
 from bridgebound.bridge import IntervalContext, _combine, _xi_inside, interval_weights
 from bridgebound.estimators import path_contributions, price
-from bridgebound.model import MarketModel, OptionSpec, Regime, TimeGrid, config_path, load_config
+from bridgebound.model import (
+    MarketModel,
+    ModelError,
+    OptionSpec,
+    Regime,
+    TimeGrid,
+    config_path,
+    load_config,
+)
 from bridgebound.simulate import (
     CHUNK,
     PathState,
@@ -43,10 +51,14 @@ def flat_model(d=1, spot=100.0, sigma=0.3, rate=0.1, corr=None, lower=None, uppe
 
 class TestStep:
     def test_drift_only_limit(self):
-        """With zero volatility one step is pure exponential drift."""
+        """With zero volatility one step is pure exponential drift.
+
+        ``validate`` refuses a zero sigma, so the model is walked through
+        the engine's internals.
+        """
         model = flat_model(d=1, sigma=0.0, rate=0.1, maturity=1.0, steps=1)
-        state = simulate_path(model, 3)
-        assert math.isclose(state.values[1, 0], 110.51709180756476, rel_tol=1e-14)
+        (terminal,) = [np.exp(x1[0, 3]) for _, _, x1 in _walk(_plan(model), 0, 0, _Rows(4, 4))]
+        assert math.isclose(terminal, 110.51709180756476, rel_tol=1e-14)
 
     def test_martingale_property(self):
         """Discounted one-step growth has unit mean under mu = r."""
@@ -114,9 +126,13 @@ class TestSimulatePath:
         assert hits > 0  # the sample actually exercises both outcomes
 
     def test_spot_on_barrier_is_dead_at_inception(self):
+        """``validate`` refuses a spot on a barrier, so the model is walked
+        through the engine's internals."""
         model = flat_model(lower=[100.0])
-        state = simulate_path(model, 0)
-        assert state.alive_discrete is False
+        state = _Rows(2, 2)
+        for _ in _walk(_plan(model), 0, 0, state):
+            pass
+        assert not state.alive[0]
 
     def test_multi_step_shape(self):
         model, _ = load_config("table2")
@@ -135,6 +151,31 @@ class TestSimulatePath:
             simulate_path(model, 0, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             simulate_path(model, 0, seed=2**64)
+
+
+def one_regime_model(regime, steps=4):
+    return MarketModel(spot=[100.0], rate=0.05, grid=TimeGrid.uniform(1.0, steps),
+                       regimes=regime)
+
+
+class TestEntriesValidate:
+    """The public engine entries refuse what ``validate`` refuses, rather
+    than walking paths dead with NaN prices or to plausible weights."""
+
+    @pytest.mark.parametrize("entry", [
+        lambda model: path_batches(model, 10),
+        lambda model: simulate_path(model, 0),
+    ], ids=["path_batches", "simulate_path"])
+    @pytest.mark.parametrize("model, message", [
+        pytest.param(one_regime_model(Regime(mu=[0.05], sigma=[np.nan], lower=[90.0])),
+                     "regime 0: sigma must be finite", id="nan-sigma"),
+        pytest.param(one_regime_model(Regime(mu=[0.05], sigma=[-0.3], lower=[90.0])),
+                     "regime 0: sigma must be strictly positive", id="negative-sigma"),
+        pytest.param(flat_model(lower=[100.0]), "exactly on", id="spot-on-barrier"),
+    ])
+    def test_invalid_model_refused(self, entry, model, message):
+        with pytest.raises(ModelError, match=message):
+            entry(model)
 
 
 class TestPathBatches:
@@ -158,15 +199,16 @@ class TestPathBatches:
 
     def test_single_event_weights_coincide(self):
         model, _ = load_config("table1a")
+        assert _plan(model).exact
         batch = next(path_batches(model, 1000, seed=0))
-        assert batch.exact
-        assert np.array_equal(batch.w_lower, batch.w_upper)
-        assert np.array_equal(batch.w_indep, batch.w_upper)
+        assert batch.w_lower.tobytes() == batch.w_upper.tobytes()
+        assert batch.w_indep.tobytes() == batch.w_upper.tobytes()
 
     def test_double_barrier_weights_ordered_with_no_exact(self):
         model, _ = load_config("table2")
+        assert not _plan(model).exact
         batch = next(path_batches(model, 5000, seed=0))
-        assert not batch.exact
+        assert batch.w_lower.tobytes() != batch.w_upper.tobytes()
         assert np.all(batch.w_lower <= batch.w_indep)
         assert np.all(batch.w_indep <= batch.w_upper)
         assert np.all((batch.w_lower >= 0.0) & (batch.w_upper <= 1.0))
@@ -290,7 +332,9 @@ def _assert_compact_batch_is_full_walk(model, n, seed=7):
         for name in ("w_lower", "w_indep", "w_upper"):
             assert getattr(compact, name).tobytes() == getattr(full, name).tobytes(), (chunk, name)
         assert compact.terminal.tobytes() == full.terminal[full.alive].tobytes(), chunk
-        assert compact.exact == full.exact
+        if plan.exact:
+            for name in ("w_lower", "w_indep"):
+                assert getattr(compact, name).tobytes() == compact.w_upper.tobytes(), (chunk, name)
 
 
 def _walk_history(model, rows, seed=7):
@@ -367,12 +411,14 @@ class TestDeadRowsDropped:
         assert history[-1][0] < CHUNK // 2
         _assert_compact_batch_is_full_walk(model, CHUNK + 1)
 
-    @pytest.mark.parametrize("rebate", [0.0, 2.5])
+    @pytest.mark.parametrize("knock, rebate", [("out", 0.0), ("out", 2.5), ("in", 0.0)])
     @pytest.mark.parametrize("cfg", ["table4_d10", "table1b", "table2"])
-    def test_knock_out_sums_are_the_full_walk_sums(self, cfg, rebate):
-        """The knock-out means equal the full walk's sums of v*I*W + R*(1 - I*W), bit for bit."""
+    def test_knock_out_sums_are_the_full_walk_sums(self, cfg, knock, rebate):
+        """The means equal the full walk's sums, bit for bit: of v*I*W + R*(1 - I*W)
+        for knock-out, and of v*(1 - I*W) for knock-in, whose bounds swap."""
         model, spec = load_config(cfg, steps=8)
-        spec = OptionSpec(kind=spec.kind, strike=spec.strike, asset=spec.asset, rebate=rebate)
+        spec = OptionSpec(kind=spec.kind, strike=spec.strike, asset=spec.asset, knock=knock,
+                          rebate=rebate)
         n = CHUNK + 1
         report = price(model, spec, n, seed=7)
         discount = math.exp(-model.rate * model.grid.maturity)
@@ -381,11 +427,16 @@ class TestDeadRowsDropped:
             v = discount * spec.terminal_payoff(batch.terminal)
             for k, surv in enumerate((batch.alive.astype(float), batch.w_lower,
                                       batch.w_indep, batch.w_upper)):
-                c = v * surv
-                if rebate:
-                    c = c + rebate * discount * (1.0 - surv)
+                if knock == "in":
+                    c = v * (1.0 - surv)
+                else:
+                    c = v * surv
+                    if rebate:
+                        c = c + rebate * discount * (1.0 - surv)
                 totals[k] += float(np.sum(c))
         means = [report.q_s.mean, report.q_lower.mean, report.q_indep.mean, report.q_upper.mean]
+        if knock == "in":
+            means[1], means[3] = means[3], means[1]
         assert means == [t / n for t in totals]
 
 
