@@ -1,9 +1,13 @@
 """Closed-form reference prices for validating the Monte Carlo engine.
 
 Black-Scholes vanilla call, the reflection-principle down-and-out call and
-down-and-out digital, and the degenerate-correlation reductions of the
-symmetric two-asset knock-out call.  The normal CDF is scipy's ndtr, exact
-to double precision, so golden comparisons at three decimals are safe.
+down-and-out digital, and :func:`reference_price`, the one place that knows
+which continuous price fits which contract: it reads the model and the
+option, applies a closed form where one exists (one asset, or two assets at
+correlation 0 or 1) and otherwise returns a value pinned for that exact
+contract, refusing any contract it cannot price.  The normal CDF is scipy's
+ndtr, exact to double precision, so golden comparisons at three decimals
+are safe.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import ndtr
 
-from .model import MarketModel, OptionSpec
+from .model import MarketModel, OptionSpec, validate
 
 __all__ = [
     "BsParams",
@@ -112,113 +117,76 @@ def down_and_out_digital(p: BsParams) -> float:
     return math.exp(-p.rate * p.maturity) * no_hit_probability(p)
 
 
-# Two-asset symmetric knock-out call values that have no elementary closed
-# form; pinned from independent numerical solutions of the same contract.
-_PINNED_TWO_ASSET = {-1.0: 0.0131, -0.5: 1.395, 0.5: 6.527}
-
-# The configuration those pinned values belong to.
-_PINNED_SHAPE = {
-    "spot": (100.0, 100.0),
-    "rate": 0.1,
-    "maturity": 1.0,
-    "sigma": (0.3, 0.3),
-    "lower": (90.0, 90.0),
-    "strike": 100.0,
+# Contracts whose continuous price has no elementary closed form, keyed by
+# every contract parameter but the step count, compared exactly: spot, rate,
+# maturity, mu, sigma, corr (row-major), lower and upper barriers, strike.
+_PAIR = ((100.0, 100.0), 0.1, 1.0, (0.1, 0.1), (0.3, 0.3))
+_PINNED = {
+    # table1b: call on the unbarriered asset 0, barrier on asset 1 (published)
+    (*_PAIR, (1.0, 0.5, 0.5, 1.0), (None, 90.0), (None, None), 100.0): 8.256,
+    # table2: double knock-out call (published, double-barrier series)
+    ((1000.0,), 0.1, 0.5, (0.1,), (0.2,), (1.0,), (900.0,), (1100.0,), 1000.0): 1.793,
+    # table3 at rho -1, -0.5, 0.5: independent numerical solutions
+    **{
+        (*_PAIR, (1.0, rho, rho, 1.0), (90.0, 90.0), (None, None), 100.0): value
+        for rho, value in ((-1.0, 0.0131), (-0.5, 1.395), (0.5, 6.527))
+    },
 }
 
 
-def reference_price(rho: float, model: MarketModel, spec: OptionSpec) -> float:
-    """Continuously monitored price of the two-asset knock-out call.
+def reference_price(model: MarketModel, spec: OptionSpec) -> float:
+    """Continuously monitored price of a knock-out call, worked out from the contract.
 
-    Covers the degenerate correlations of the symmetric two-asset setup
-    (call on asset 0, lower barriers on both assets, one regime):
+    Needs one regime broadcast to every step, risk-neutral drift (``mu ==
+    rate``) and a plain knock-out call on asset 0.  Closed forms cover
 
-    * ``rho = 0``: product of a down-and-out call on the payoff asset and
-      the other asset's no-hit probability (independence factorizes).
-    * ``rho = 1``: the two assets are one driver, so the option collapses
-      to a down-and-out call whose barrier is the binding one.
-    * ``rho in {-1, -0.5, 0.5}``: pinned constants, valid only for the
-      exact symmetric configuration they were computed for.
+    * one asset with a lower barrier: the reflection-principle call;
+    * two assets with lower barriers at correlation 0: the down-and-out
+      call on asset 0 times asset 1's no-hit probability;
+    * two assets with lower barriers at correlation 1 and equal
+      volatilities: one driver, so a down-and-out call at the binding level.
 
-    Raises ValueError for any other correlation or a mismatched model.
+    Any other contract must match a pinned one in every parameter but the
+    step count.  Raises ValueError for everything else.
     """
-    _check_two_asset(model, spec)
+    validate(model, spec).raise_if_invalid()
     regime = model.regimes[0]
-    t = model.grid.maturity
-    if rho == 0.0:
-        leg = BsParams(
-            spot=float(model.spot[0]),
-            strike=spec.strike,
-            sigma=float(regime.sigma[0]),
-            rate=model.rate,
-            maturity=t,
-            barrier=regime.lower[0],
-        )
-        other = BsParams(
-            spot=float(model.spot[1]),
-            strike=spec.strike,
-            sigma=float(regime.sigma[1]),
-            rate=model.rate,
-            maturity=t,
-            barrier=regime.lower[1],
-        )
-        return down_and_out_call(leg) * no_hit_probability(other)
-    if rho == 1.0:
-        if regime.sigma[0] != regime.sigma[1]:
-            raise ValueError("rho = 1 reduction requires equal volatilities")
-        # S2(t) is S1(t) scaled by the spot ratio, so its barrier maps onto
-        # asset 0; the option is a down-and-out call at the binding level.
-        levels = []
-        if regime.lower[0] is not None:
-            levels.append(regime.lower[0])
-        if regime.lower[1] is not None:
-            levels.append(regime.lower[1] * float(model.spot[0]) / float(model.spot[1]))
-        p = BsParams(
-            spot=float(model.spot[0]),
-            strike=spec.strike,
-            sigma=float(regime.sigma[0]),
-            rate=model.rate,
-            maturity=t,
-            barrier=max(levels) if levels else None,
-        )
-        return down_and_out_call(p)
-    if rho in _PINNED_TWO_ASSET:
-        _check_pinned_shape(model, spec)
-        return _PINNED_TWO_ASSET[rho]
-    raise ValueError(f"no reference price for correlation {rho}")
-
-
-def _check_two_asset(model: MarketModel, spec: OptionSpec) -> None:
-    # MarketModel broadcasts a single regime to every step as the same object
-    if model.d != 2 or any(r is not model.regimes[0] for r in model.regimes):
-        raise ValueError("reference_price expects a two-asset single-regime model")
-    regime = model.regimes[0]
-    if any(u is not None for u in regime.upper):
-        raise ValueError("reference_price supports lower barriers only")
+    if any(r is not regime for r in model.regimes):
+        raise ValueError("reference_price needs one regime broadcast to every step")
     if spec.kind != "call" or spec.asset != 0 or spec.knock != "out" or spec.rebate != 0.0:
-        raise ValueError("reference_price expects a plain knock-out call on asset 0")
+        raise ValueError("reference_price needs a plain knock-out call on asset 0")
+    if np.any(regime.mu != model.rate):
+        raise ValueError(f"reference_price needs mu == rate, got mu = {regime.mu.tolist()}")
+    t = model.grid.maturity
 
+    def leg(k: int, barrier: float | None) -> BsParams:
+        return BsParams(
+            spot=float(model.spot[k]),
+            strike=spec.strike,
+            sigma=float(regime.sigma[k]),
+            rate=model.rate,
+            maturity=t,
+            barrier=barrier,
+        )
 
-def _check_pinned_shape(model: MarketModel, spec: OptionSpec) -> None:
-    regime = model.regimes[0]
-    shape = {
-        "spot": tuple(float(x) for x in model.spot),
-        "rate": model.rate,
-        "maturity": model.grid.maturity,
-        "sigma": tuple(float(x) for x in regime.sigma),
-        "lower": tuple(regime.lower),
-        "strike": spec.strike,
-    }
-    for key, want in _PINNED_SHAPE.items():
-        got = shape[key]
-        if isinstance(want, tuple):
-            ok = len(got) == len(want) and all(
-                g is not None and math.isclose(g, w, rel_tol=1e-12)
-                for g, w in zip(got, want)
+    if all(u is None for u in regime.upper):
+        if model.d == 1:
+            return down_and_out_call(leg(0, regime.lower[0]))
+        rho = regime.corr[0, 1] if model.d == 2 else None
+        if rho == 0.0:
+            return down_and_out_call(leg(0, regime.lower[0])) * no_hit_probability(
+                leg(1, regime.lower[1])
             )
-        else:
-            ok = math.isclose(got, want, rel_tol=1e-12)
-        if not ok:
-            raise ValueError(
-                f"pinned reference values require {key} = {want}, got {got}"
-            )
+        if rho == 1.0:
+            if regime.sigma[0] != regime.sigma[1]:
+                raise ValueError("correlation 1 reduction requires equal volatilities")
+            # S2(t) is S1(t) scaled by the spot ratio, so its barrier maps onto
+            # asset 0; the option is a down-and-out call at the binding level
+            # (0 where neither asset has a barrier).
+            scaled = (regime.lower[1] or 0.0) * float(model.spot[0]) / float(model.spot[1])
+            return down_and_out_call(leg(0, max(regime.lower[0] or 0.0, scaled)))
+    key = (tuple(model.spot), model.rate, t, tuple(regime.mu), tuple(regime.sigma))
+    key += (tuple(regime.corr.ravel()), regime.lower, regime.upper, spec.strike)
+    if key not in _PINNED:
+        raise ValueError("no continuous reference price for this contract")
+    return _PINNED[key]

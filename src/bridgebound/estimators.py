@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import MarketModel, OptionSpec, validate
-from .simulate import _compute_batch, _n_chunks, _plan
+from .simulate import _check_run, _compute_batch, _n_chunks, _plan
 
 __all__ = [
     "EstimatorResult",
@@ -184,8 +184,7 @@ def price(
     -------
     PricingReport
     """
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    _check_run("n_paths", n_paths, 2, seed)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if workers < 1:
@@ -282,8 +281,7 @@ def path_contributions(
     ``w_lower``, ``w_indep``, ``w_upper``, and ``w_exact`` when available.
     Intended for inspection and tests, not for pricing at scale.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _check_run("n_paths", n_paths, 1, seed)
     validate(model, spec).raise_if_invalid()
     plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)

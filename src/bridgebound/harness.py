@@ -11,15 +11,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .analytic import BsParams, down_and_out_call, reference_price
+from .analytic import reference_price
 from .estimators import PricingReport, price
-from .model import MarketModel, OptionSpec, load_config
+from .model import load_config
+from .simulate import _check_run
 
 __all__ = [
     "SweepSpec",
@@ -61,8 +61,7 @@ class SweepSpec:
             b <= a for a, b in zip(self.m_values, self.m_values[1:])
         ):
             raise ValueError("m_values must be strictly increasing and >= 1")
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
+        _check_run("n_paths", self.n_paths, 2, self.seed)
 
 
 @dataclass(frozen=True)
@@ -262,36 +261,19 @@ class TableReport:
 Z_TOLERANCE = 3.0
 
 
-def _down_and_out_reference(model: MarketModel, option: OptionSpec) -> float:
-    """Closed-form continuous price of a one-asset down-and-out call."""
-    regime = model.regimes[0]
-    return down_and_out_call(
-        BsParams(
-            spot=float(model.spot[0]),
-            strike=option.strike,
-            sigma=float(regime.sigma[0]),
-            rate=model.rate,
-            maturity=model.grid.maturity,
-            barrier=regime.lower[0],
-        )
-    )
-
-
 @dataclass(frozen=True)
 class _Golden:
     """One config of a published table.
 
     ``published`` maps M to {estimator: (published value, published std
-    error)}.  ``continuous`` prices the continuously monitored option from
-    the config's default model and option; at the largest M, where the
-    published rows agree with it, the ``vs_continuous`` estimators are
-    checked against it.
+    error)}.  At the largest M, where the published rows agree with the
+    continuously monitored price, the ``vs_continuous`` estimators are
+    checked against ``reference_price`` of the config's contract.
     """
 
     config: str
     n_paths: int
     published: dict[int, dict[str, tuple[float, float]]]
-    continuous: Callable[[MarketModel, OptionSpec], float] | None = None
     vs_continuous: tuple[str, ...] = ()
 
 
@@ -305,14 +287,12 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
                 16: {"q_exact": (8.79, 0.02), "q_s": (9.74, 0.02)},
                 1024: {"q_exact": (8.80, 0.02), "q_s": (8.94, 0.02)},
             },
-            _down_and_out_reference,
             ("q_exact",),
         ),
         _Golden(
             "table1b",
             800_000,
             {1: {"q_exact": (8.26, 0.02), "q_s": (14.93, 0.03)}},
-            lambda model, option: 8.256,  # published; no elementary closed form
             ("q_exact",),
         ),
     ),
@@ -337,7 +317,6 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
                     "q0": (1.78, 0.01),
                 },
             },
-            lambda model, option: 1.793,  # published; double barrier series
             ("q_upper", "q_lower", "q0"),
         ),
     ),
@@ -361,7 +340,6 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
                     "q0": (3.65, 0.04),
                 },
             },
-            partial(reference_price, 0.0),
             ("q_indep", "q0"),
         ),
         _Golden(
@@ -375,7 +353,6 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
                     "q0": (6.55, 0.06),
                 }
             },
-            partial(reference_price, 0.5),
             ("q0",),
         ),
         _Golden(
@@ -389,7 +366,6 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
                     "q0": (1.39, 0.02),
                 }
             },
-            partial(reference_price, -0.5),
             ("q0",),
         ),
         _Golden(
@@ -399,7 +375,6 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
                 1: {"q_upper": (11.36, 0.06), "q_s": (16.79, 0.08)},
                 64: {"q_upper": (11.34, 0.07), "q0": (11.12, 0.29)},
             },
-            partial(reference_price, 1.0),
             ("q0",),
         ),
         _Golden(
@@ -419,7 +394,6 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
                     "q0": (0.013, 0.001),
                 },
             },
-            partial(reference_price, -1.0),
             ("q0",),
         ),
     ),
@@ -512,8 +486,8 @@ def reproduce_table(
                         passed=ok,
                     )
                 )
-            if m == m_values[-1] and golden.continuous is not None:
-                exact = golden.continuous(*load_config(label))
+            if m == m_values[-1] and golden.vs_continuous:
+                exact = reference_price(*load_config(label))
                 for est in golden.vs_continuous:
                     value, se = named[est]
                     checks.append(

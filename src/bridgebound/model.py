@@ -60,7 +60,7 @@ class TimeGrid:
 
     @property
     def n_steps(self) -> int:
-        return len(self.dates) - 1
+        return max(len(self.dates) - 1, 0)
 
     @property
     def maturity(self) -> float:
@@ -102,8 +102,8 @@ class Regime:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "corr", corr)
-        object.__setattr__(self, "lower", _as_barriers(self.lower, d))
-        object.__setattr__(self, "upper", _as_barriers(self.upper, d))
+        object.__setattr__(self, "lower", _as_barriers(self.lower, d, "lower"))
+        object.__setattr__(self, "upper", _as_barriers(self.upper, d, "upper"))
 
     @property
     def d(self) -> int:
@@ -124,12 +124,15 @@ class Regime:
         return tuple(out)
 
 
-def _as_barriers(values, d: int) -> tuple[float | None, ...]:
+def _as_barriers(values, d: int, side: str) -> tuple[float | None, ...]:
     if values is None:
         return (None,) * d
-    out = tuple(None if v is None else float(v) for v in values)
+    try:
+        out = tuple(None if v is None else float(v) for v in values)
+    except TypeError:
+        raise ModelError(f"{side} must be a list of numbers or nulls, got {values!r}") from None
     if len(out) != d:
-        raise ModelError(f"expected {d} barrier entries, got {len(out)}")
+        raise ModelError(f"expected {d} {side} barrier entries, got {len(out)}")
     return out
 
 
@@ -259,6 +262,10 @@ def _regime_violations(regime: Regime, d: int, label: str) -> list[str]:
     ModelError instead, naming ``label``.
     """
     out: list[str] = []
+    flat = [name for name in ("mu", "sigma") if getattr(regime, name).ndim != 1]
+    if flat:
+        out.append(f"{label}: {', '.join(flat)} must be one-dimensional")
+        return out
     mismatched = [name for name in ("mu", "sigma") if len(getattr(regime, name)) != d]
     if mismatched:
         out.append(
@@ -319,15 +326,19 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
     d = model.d
     dates = model.grid.dates
 
-    if len(dates) < 2:
+    if dates.ndim != 1:
+        report.violations.append(f"grid dates must be one-dimensional, got shape {dates.shape}")
+    elif len(dates) < 2:
         report.violations.append("time grid needs at least one step")
     if not np.all(np.isfinite(dates)):
         report.violations.append("grid dates must be finite")
-    if dates.size and dates[0] != 0.0:
+    if dates.ndim == 1 and dates.size and dates[0] != 0.0:
         report.violations.append(f"grid must start at 0, got {dates[0]}")
-    if np.any(np.diff(dates) <= 0.0):
+    if dates.ndim == 1 and np.any(np.diff(dates) <= 0.0):
         report.violations.append("grid dates must be strictly increasing")
 
+    if model.spot.ndim != 1:
+        report.violations.append(f"spot must be one-dimensional, got shape {model.spot.shape}")
     if not np.all(np.isfinite(model.spot)):
         report.violations.append("spots must be finite")
     if np.any(model.spot <= 0.0):
@@ -348,7 +359,7 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
 
     # Dead-at-inception configurations: strictly outside is a hard error,
     # exactly on the barrier is reported (boundary counts as a hit).
-    if model.regimes:
+    if model.regimes and model.spot.ndim == 1:
         first = model.regimes[0]
         if first.d == d:
             for k in range(d):
@@ -384,7 +395,9 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
             report.violations.append("rebate must be >= 0")
         if spec.knock == "in" and spec.rebate != 0.0:
             report.violations.append("rebate is only supported for knock-out options")
-        if not 0 <= spec.asset < d:
+        if not isinstance(spec.asset, (int, np.integer)):
+            report.violations.append(f"option asset index must be an integer, got {spec.asset!r}")
+        elif not 0 <= spec.asset < d:
             report.violations.append(f"option asset index {spec.asset} out of range for d={d}")
 
     return report
@@ -455,8 +468,14 @@ def load_config(
     if "dates" in grid_cfg:
         if steps is not None:
             raise ModelError("cannot override steps for a config with explicit dates")
+        extra = sorted(set(grid_cfg) - {"dates"})
+        if extra:
+            raise ModelError(f"grid key {extra[0]!r} cannot be combined with 'dates'")
         grid = TimeGrid(grid_cfg["dates"])
     else:
+        for key in ("maturity", "steps") if steps is None else ("maturity",):
+            if key not in grid_cfg:
+                raise ModelError(f"grid is missing required key {key!r}")
         n = int(grid_cfg["steps"]) if steps is None else int(steps)
         grid = TimeGrid.uniform(float(grid_cfg["maturity"]), n)
 

@@ -26,7 +26,8 @@ reported.  A sampled value exactly on a barrier counts as a hit.  Each
 step's events, alive check and no-hit bounds are bridge.py's vector kernel.
 A chunk's alive flags and weights always come back at full length, dropped
 rows as dead; the walk mode only chooses which terminal prices come back.
-The public entries refuse any model that ``validate`` refuses.
+The public entries refuse any model that ``validate`` refuses, and a path
+count, path index or seed that is not an integer in range.
 """
 
 from __future__ import annotations
@@ -99,11 +100,25 @@ class PathBatch:
     w_upper: np.ndarray
 
 
-def _stream(seed: int, chunk_index: int) -> np.random.Generator:
-    """The counter-based generator owning the draws of one chunk."""
+def _check_run(name: str, count: int, least: int, seed: int) -> None:
+    """Refuse a run's arguments before any chunk is scheduled.
+
+    ``count`` (the argument called ``name``: a path count or a path index)
+    must be an integer >= ``least``, and ``seed`` an integer in [0, 2**64).
+    """
+    for arg, value in ((name, count), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk_index))
+
+
+def _stream(seed: int, chunk_index: int) -> np.random.Generator:
+    """The counter-based generator owning the draws of one chunk."""
+    # A numpy integer seed would shift out to 0: key with a Python int.
+    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + chunk_index))
 
 
 def _normal_block(gen: np.random.Generator, d: int, index: np.ndarray) -> np.ndarray:
@@ -277,8 +292,10 @@ def _compute_batch(
 def path_batches(model: MarketModel, n_paths: int, seed: int = 0) -> Iterator[PathBatch]:
     """PathBatch chunks covering ``n_paths`` paths, in chunk order.
 
-    Raises ModelError at the call for a model that :func:`validate` refuses.
+    Raises ModelError at the call for a model that :func:`validate` refuses,
+    and ValueError for a path count below 1 or a bad seed.
     """
+    _check_run("n_paths", n_paths, 1, seed)
     validate(model).raise_if_invalid()
     plan = _plan(model)
     return (_compute_batch(plan, seed, c, n_paths) for c in range(_n_chunks(n_paths)))
@@ -296,8 +313,7 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
     how many other paths a pricing run asked for.  Raises ModelError for a
     model that :func:`validate` refuses.
     """
-    if path_index < 0:
-        raise ValueError("path_index must be >= 0")
+    _check_run("path_index", path_index, 0, seed)
     validate(model).raise_if_invalid()
     plan = _plan(model)
     chunk_index, row = divmod(path_index, CHUNK)

@@ -8,6 +8,7 @@ from a 40-digit evaluation of the Black-Scholes integral.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from bridgebound.analytic import (
     vanilla_call,
 )
 from bridgebound.estimators import price
-from bridgebound.model import MarketModel, OptionSpec, Regime, load_config
+from bridgebound.model import MarketModel, OptionSpec, Regime, config_path, load_config
 
 
 def pde_down_and_out(spot, strike, h, sigma, r, t, nx=1200, nt=800):
@@ -190,11 +191,39 @@ class TestNoHitProbability:
         )
 
 
+def _contract(name: str, **changes):
+    """A bundled config's (model, spec) with top-level, regime or option keys changed."""
+    cfg = json.loads(config_path(name).read_text())
+    for key, value in changes.items():
+        if key in ("mu", "sigma", "corr", "lower", "upper"):
+            cfg["regimes"][0][key] = value
+        elif key in ("kind", "strike", "asset", "knock", "rebate"):
+            cfg["option"][key] = value
+        else:
+            cfg[key] = value
+    return load_config(cfg)
+
+
+# The continuous references that each bundled config's table checked against
+# before reference_price read them from the contract, bit for bit.
+REFERENCES = {
+    "fig5": 5.90599637749801,
+    "table1a": 8.794333953580132,
+    "table1b": 8.256,
+    "table2": 1.793,
+    "table3_rho-0.5": 1.395,
+    "table3_rho-1": 0.0131,
+    "table3_rho0": 3.6493885045595276,
+    "table3_rho0.5": 6.527,
+    "table3_rho1": 11.314859233904919,
+}
+
+
 class TestReferencePrice:
     def test_zero_correlation_factorizes(self):
         """Independent assets: barrier call times the other leg's survival."""
         model, spec = load_config("table3_rho0")
-        value = reference_price(0.0, model, spec)
+        value = reference_price(model, spec)
         doc = down_and_out_call(BsParams(100.0, 100.0, 0.3, 0.1, 1.0, barrier=90.0))
         surv = no_hit_probability(BsParams(100.0, 100.0, 0.3, 0.1, 1.0, barrier=90.0))
         assert value == pytest.approx(doc * surv, rel=1e-12)
@@ -202,69 +231,90 @@ class TestReferencePrice:
 
     def test_single_regime_broadcast_to_every_step(self):
         """The continuous price does not depend on the monitoring grid."""
-        value = reference_price(0.0, *load_config("table3_rho0", steps=2))
-        assert value == reference_price(0.0, *load_config("table3_rho0"))
-        assert math.isclose(value, 3.6494, abs_tol=5e-5)
+        for name in ("table3_rho0", "table3_rho0.5", "table1a"):
+            value = reference_price(*load_config(name, steps=2))
+            assert value == reference_price(*load_config(name))
+        assert math.isclose(reference_price(*load_config("table3_rho0")), 3.6494, abs_tol=5e-5)
 
     def test_perfect_correlation_collapses_to_one_driver(self):
         model, spec = load_config("table3_rho1")
-        value = reference_price(1.0, model, spec)
+        value = reference_price(model, spec)
         assert value == down_and_out_call(BsParams(100.0, 100.0, 0.3, 0.1, 1.0, barrier=90.0))
         assert math.isclose(value, 11.315, abs_tol=1e-3)
 
     def test_perfect_correlation_with_asymmetric_spots(self):
         """The second barrier is rescaled by the spot ratio, then dominated."""
         model, spec = load_config("fig5")
-        value = reference_price(1.0, model, spec)
+        value = reference_price(model, spec)
         assert value == down_and_out_call(BsParams(95.0, 100.0, 0.3, 0.1, 1.0, barrier=90.0))
 
     def test_pinned_correlations(self):
-        for name, rho, want in [
-            ("table3_rho0.5", 0.5, 6.527),
-            ("table3_rho-0.5", -0.5, 1.395),
-            ("table3_rho-1", -1.0, 0.0131),
+        for name, want in [
+            ("table3_rho0.5", 6.527),
+            ("table3_rho-0.5", 1.395),
+            ("table3_rho-1", 0.0131),
         ]:
-            model, spec = load_config(name)
-            assert reference_price(rho, model, spec) == want
+            assert reference_price(*load_config(name)) == want
 
     def test_unsupported_correlation_rejected(self):
-        model, spec = load_config("table3_rho0")
-        with pytest.raises(ValueError, match="no reference price"):
-            reference_price(0.3, model, spec)
+        model, spec = _contract("table3_rho0", corr=[[1.0, 0.3], [0.3, 1.0]])
+        with pytest.raises(ValueError, match="no continuous reference price"):
+            reference_price(model, spec)
 
     def test_pinned_values_guard_their_configuration(self):
         model, spec = load_config("table3_rho0.5")
         off_strike = OptionSpec(kind="call", strike=95.0, asset=0)
-        with pytest.raises(ValueError, match="strike"):
-            reference_price(0.5, model, off_strike)
+        with pytest.raises(ValueError, match="no continuous reference price"):
+            reference_price(model, off_strike)
 
     def test_wrong_shape_rejected(self):
-        model, spec = load_config("table1a")
-        with pytest.raises(ValueError, match="two-asset"):
-            reference_price(0.0, model, spec)
+        with pytest.raises(ValueError, match="no continuous reference price"):
+            reference_price(*load_config("table4_d3"))
         pair, spec = load_config("table3_rho0", steps=2)
         first = pair.regimes[0]
         calmer = Regime(mu=first.mu, sigma=[0.2, 0.2], corr=first.corr, lower=first.lower)
         two_regimes = MarketModel(
             spot=pair.spot, rate=pair.rate, grid=pair.grid, regimes=(first, calmer)
         )
-        with pytest.raises(ValueError, match="single-regime"):
-            reference_price(0.0, two_regimes, spec)
+        with pytest.raises(ValueError, match="one regime broadcast"):
+            reference_price(two_regimes, spec)
 
     def test_upper_barriers_rejected(self):
-        model, spec = load_config("table2")
-        with pytest.raises(ValueError):
-            reference_price(0.0, model, spec)
+        model, spec = _contract("table2", strike=1050.0)
+        with pytest.raises(ValueError, match="no continuous reference price"):
+            reference_price(model, spec)
 
     def test_unequal_volatility_rejected_at_unit_correlation(self):
-        model, spec = load_config("table3_rho1")
-        cfg_regime = model.regimes[0]
-        lopsided = Regime(
-            mu=cfg_regime.mu, sigma=[0.3, 0.4], corr=cfg_regime.corr,
-            lower=cfg_regime.lower,
-        )
-        bad = MarketModel(
-            spot=model.spot, rate=model.rate, grid=model.grid, regimes=(lopsided,)
-        )
+        model, spec = _contract("table3_rho1", sigma=[0.3, 0.4])
         with pytest.raises(ValueError, match="equal volatilities"):
-            reference_price(1.0, bad, spec)
+            reference_price(model, spec)
+
+    @pytest.mark.parametrize(
+        "name, changes, match",
+        [
+            ("table3_rho0.5", {"corr": [[1.0, 0.4], [0.4, 1.0]]}, "no continuous reference"),
+            ("table3_rho0", {"mu": [0.3, 0.3]}, "mu == rate"),
+            ("table1b", {"strike": 101.0}, "no continuous reference"),
+            ("table2", {"sigma": [0.25]}, "no continuous reference"),
+            ("table1a", {"rebate": 1.0}, "plain knock-out call"),
+            ("table1a", {"knock": "in"}, "plain knock-out call"),
+            ("table3_rho0", {"asset": 1}, "plain knock-out call"),
+            ("table1a", {"sigma": [float("nan")]}, "sigma must be finite"),
+        ],
+        ids=["corr", "mu", "strike", "sigma", "rebate", "knock-in", "asset", "invalid"],
+    )
+    def test_changed_contract_refused(self, name, changes, match):
+        """A contract that differs from a priceable one in any parameter is refused."""
+        with pytest.raises(ValueError, match=match):
+            reference_price(*_contract(name, **changes))
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in config_path("table1a").parent.glob("*.json"))
+    )
+    def test_bundled_config_reference(self, name):
+        """Every bundled config prices to its pinned reference, or is refused."""
+        if name in REFERENCES:
+            assert float(reference_price(*load_config(name))) == REFERENCES[name]
+        else:
+            with pytest.raises(ValueError, match="no continuous reference price"):
+                reference_price(*load_config(name))

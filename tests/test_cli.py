@@ -100,6 +100,24 @@ class TestPrice:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("change, key", [
+        ({"grid": {"steps": 1}}, "'maturity'"),
+        ({"grid": {"maturity": 0.5}}, "'steps'"),
+        ({"grid": {"dates": [0.0, 0.5], "steps": 1}}, "'steps'"),
+        ({"regimes": [{"sigma": [0.3], "lower": 90}]}, "lower"),
+    ], ids=["no-maturity", "no-steps", "dates-and-steps", "scalar-barrier"])
+    def test_malformed_config_exits_one(self, tmp_path, capsys, change, key):
+        """A malformed config ends with an error naming the key, not a traceback."""
+        from bridgebound.model import config_path
+
+        cfg = json.loads(config_path("table1a").read_text(encoding="utf-8"))
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps({**cfg, **change}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "price", str(target), "--paths", "100")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and key in err
+
     def test_usage_error_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "price", "table1a", "--paths", "many")
         assert code == 1

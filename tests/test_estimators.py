@@ -84,6 +84,20 @@ class TestPriceArguments:
         with pytest.raises(ValueError, match="n_paths"):
             price(model, spec, 1)
 
+    @pytest.mark.parametrize("entry", [price, path_contributions], ids=["price", "contributions"])
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"n_paths": 1e5}, "n_paths must be an integer", id="float-paths"),
+        pytest.param({"n_paths": 40000.0}, "n_paths must be an integer", id="integral-float-paths"),
+        pytest.param({"seed": 1.5}, "seed must be an integer", id="float-seed"),
+        pytest.param({"spec": OptionSpec(strike=100.0, asset=0.5)},
+                     "option asset index must be an integer, got 0.5", id="float-asset"),
+    ])
+    def test_run_arguments_refused(self, entry, kwargs, message):
+        """Refused at the call with the field named, never a TypeError or IndexError."""
+        model, spec = load_config("table1a")
+        with pytest.raises(ValueError, match=message):
+            entry(**{"model": model, "spec": spec, "n_paths": 100, **kwargs})
+
     def test_alpha_range(self):
         model, spec = load_config("table1a")
         with pytest.raises(ValueError, match="alpha"):

@@ -65,6 +65,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="n_paths"):
             SweepSpec(config="table2", m_values=(1,), n_paths=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"n_paths": 1000.5}, "n_paths must be an integer", id="fractional-paths"),
+        pytest.param({"n_paths": 1e5}, "n_paths must be an integer", id="float-paths"),
+        pytest.param({"seed": 1.5}, "seed must be an integer", id="float-seed"),
+        pytest.param({"seed": -1}, r"seed must be in \[0, 2\*\*64\)", id="negative-seed"),
+    ])
+    def test_run_arguments_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**{"config": "table2", "m_values": (1,), "n_paths": 100, **kwargs})
+
 
 class TestReportRows:
     def test_rows_follow_estimator_order(self):

@@ -33,6 +33,10 @@ def one_asset_model(
 FREE = Regime(mu=[0.1], sigma=[0.3])
 
 
+def one_regime_model_of(regime: Regime) -> MarketModel:
+    return MarketModel(spot=[100.0], rate=0.1, grid=TimeGrid.uniform(1.0, 2), regimes=regime)
+
+
 def two_asset_model(corr) -> MarketModel:
     regime = Regime(mu=[0.1, 0.1], sigma=[0.2, 0.2], corr=corr)
     return MarketModel(
@@ -325,6 +329,42 @@ class TestValidate:
         with pytest.raises(ModelError):
             report.raise_if_invalid()
 
+    @pytest.mark.parametrize("dates", [[], [0.0]], ids=["no-dates", "one-date"])
+    def test_grid_without_steps_is_one_violation(self, dates):
+        model = MarketModel(spot=[100.0], rate=0.1, grid=TimeGrid(dates), regimes=())
+        assert model.grid.n_steps == 0
+        assert validate(model).violations == ["time grid needs at least one step"]
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            pytest.param(
+                one_regime_model_of(Regime(mu=[0.1], sigma=[[0.3]])),
+                "regime 0: sigma must be one-dimensional",
+                id="sigma",
+            ),
+            pytest.param(
+                one_regime_model_of(Regime(mu=[[0.1]], sigma=[0.3])),
+                "regime 0: mu must be one-dimensional",
+                id="mu",
+            ),
+            pytest.param(
+                MarketModel(spot=[[100.0]], rate=0.1, grid=TimeGrid.uniform(1.0, 1), regimes=FREE),
+                "spot must be one-dimensional, got shape (1, 1)",
+                id="spot",
+            ),
+            pytest.param(
+                MarketModel(spot=[100.0], rate=0.1, grid=TimeGrid([[0.0, 1.0]]), regimes=FREE),
+                "grid dates must be one-dimensional, got shape (1, 2)",
+                id="dates",
+            ),
+        ],
+    )
+    def test_not_one_dimensional_named(self, model, message):
+        """A field of the wrong rank is reported by name, not raised on later."""
+        report = validate(model, OptionSpec(strike=100.0))
+        assert message in report.violations
+
     def test_custom_kind_needs_hook(self):
         model = one_asset_model()
         report = validate(model, OptionSpec(kind="custom", strike=0.0))
@@ -440,6 +480,26 @@ class TestLoadConfig:
                 dict(BASE_CONFIG, grid=[1.0, 4]),
                 "grid section must be a JSON object",
                 id="section-not-object",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, grid={"steps": 1}),
+                "grid is missing required key 'maturity'",
+                id="grid-without-maturity",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, grid={"maturity": 1.0}),
+                "grid is missing required key 'steps'",
+                id="grid-without-steps",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, grid={"dates": [0.0, 1.0], "steps": 1}),
+                "grid key 'steps' cannot be combined with 'dates'",
+                id="dates-and-steps",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, regimes=[{"sigma": [0.3, 0.3], "lower": 90}]),
+                "lower must be a list of numbers or nulls, got 90",
+                id="scalar-barrier",
             ),
         ],
     )

@@ -178,6 +178,41 @@ class TestEntriesValidate:
             entry(model)
 
 
+class TestRunArguments:
+    """Counts and seeds are refused at the entry, not deep in a worker's chunk."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"n_paths": 1e5}, "n_paths must be an integer", id="float-paths"),
+        pytest.param({"n_paths": 40000.0}, "n_paths must be an integer", id="integral-float-paths"),
+        pytest.param({"n_paths": -5}, "n_paths must be >= 1, got -5", id="negative-paths"),
+        pytest.param({"seed": 1.5}, "seed must be an integer", id="float-seed"),
+        pytest.param({"seed": -1}, r"seed must be in \[0, 2\*\*64\)", id="negative-seed"),
+        pytest.param({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\)", id="large-seed"),
+    ])
+    def test_path_batches_refuses(self, kwargs, message):
+        model, _ = load_config("table1a")
+        with pytest.raises(ValueError, match=message):
+            path_batches(model, **{"n_paths": 10, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"path_index": 0.0}, "path_index must be an integer", id="float-index"),
+        pytest.param({"seed": 2.0}, "seed must be an integer", id="float-seed"),
+    ])
+    def test_simulate_path_refuses(self, kwargs, message):
+        model, _ = load_config("table1a")
+        with pytest.raises(ValueError, match=message):
+            simulate_path(model, **{"path_index": 0, **kwargs})
+
+    def test_numpy_integer_seed_keys_its_own_stream(self):
+        """A numpy seed draws the stream of the same Python int, not of seed 0."""
+        model, _ = load_config("table1a")
+        (numpy_seed,) = path_batches(model, 100, seed=np.int64(3))
+        (int_seed,) = path_batches(model, 100, seed=3)
+        (zero,) = path_batches(model, 100, seed=0)
+        assert np.array_equal(numpy_seed.terminal, int_seed.terminal)
+        assert not np.array_equal(numpy_seed.terminal, zero.terminal)
+
+
 class TestPathBatches:
     def test_chunk_partitioning(self):
         model, _ = load_config("table1a")
