@@ -20,9 +20,7 @@ from .estimators import (
     EstimatorResult,
     PointEstimate,
     PricingReport,
-    confidence_interval,
     path_contributions,
-    point_estimators,
     price,
 )
 from .harness import (
@@ -67,7 +65,6 @@ __all__ = [
     "TimeGrid",
     "ValidationReport",
     "config_path",
-    "confidence_interval",
     "factor_correlation",
     "fit_convergence",
     "fit_from_csv",
@@ -76,7 +73,6 @@ __all__ = [
     "oracle_no_hit",
     "path_batches",
     "path_contributions",
-    "point_estimators",
     "price",
     "reproduce_table",
     "run_sweep",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -114,12 +113,6 @@ def _emit(text: str, output: str | None) -> None:
         out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _rows_to_csv(rows: list[dict[str, str]]) -> str:
-    buf = io.StringIO()
-    csv_writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
 def _cmd_price(args: argparse.Namespace) -> int:
     model, option = load_config(args.config)
     report = price_option(
@@ -137,7 +130,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
         payload.update(report.to_dict())
         _emit(json.dumps(payload, indent=2), args.output)
     else:
-        _emit(_rows_to_csv(report_rows(label, m, report)), args.output)
+        with _sink(args.output) as out:
+            csv_writer(out).writerows(report_rows(label, m, report))
     return 0
 
 
@@ -185,19 +179,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(json.dumps(asdict(fit), indent=2), args.output)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("model_kind", "slope", "intercept", "r_squared", "m_used"))
-        writer.writerow(
-            (
-                fit.model_kind,
-                repr(fit.slope),
-                repr(fit.intercept),
-                repr(fit.r_squared),
-                ";".join(str(m) for m in fit.m_used),
+        with _sink(args.output) as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(("model_kind", "slope", "intercept", "r_squared", "m_used"))
+            writer.writerow(
+                (
+                    fit.model_kind,
+                    repr(fit.slope),
+                    repr(fit.intercept),
+                    repr(fit.r_squared),
+                    ";".join(str(m) for m in fit.m_used),
+                )
             )
-        )
-        _emit(buf.getvalue(), args.output)
     return 0
 
 

@@ -20,6 +20,7 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import MarketModel, OptionSpec, validate
-from .simulate import _check_run, _compute_batch, _n_chunks, _plan
+from .simulate import _check_count, _check_run, _compute_batch, _n_chunks, _plan
 
 __all__ = [
     "EstimatorResult",
@@ -35,8 +36,6 @@ __all__ = [
     "PricingReport",
     "price",
     "path_contributions",
-    "point_estimators",
-    "confidence_interval",
 ]
 
 # The estimator table's names, in report order; q_exact is present only when
@@ -69,12 +68,18 @@ class PointEstimate:
 class PricingReport:
     """Full output of one pricing run.
 
-    ``q_s`` is the discretely monitored estimator; q_lower / q_indep /
-    q_upper bracket the continuously monitored price; ``q_exact`` is set
-    only when at most one barrier event is active per interval, where the
-    crossing probability needs no bound.  q0 / q1 / q2 are midpoints of
-    (lower, upper), (lower, indep), (indep, upper).  ``ci`` is an outer
-    confidence interval for the continuous price at level ``alpha``.
+    The fields are what the run measured.  ``q_s`` is the discretely
+    monitored estimator; q_lower / q_indep / q_upper bracket the
+    continuously monitored price; ``q_exact`` is set only when at most one
+    barrier event is active per interval, where the crossing probability
+    needs no bound.
+
+    q0 / q1 / q2 and ``ci`` are derived from those columns on each read.
+    q0 / q1 / q2 are the :class:`PointEstimate` midpoints of (lower, upper),
+    (lower, indep) and (indep, upper).  ``ci`` is the outer interval
+    [q_lower - z se, q_upper + z se] at two-sided level ``alpha``, with z
+    the normal quantile at 1 - alpha / 2; it covers the continuous price
+    whenever each bound's own normal interval does, hence conservatively.
     """
 
     q_s: EstimatorResult
@@ -82,13 +87,29 @@ class PricingReport:
     q_indep: EstimatorResult
     q_upper: EstimatorResult
     q_exact: EstimatorResult | None
-    q0: PointEstimate
-    q1: PointEstimate
-    q2: PointEstimate
-    ci: tuple[float, float]
     alpha: float
     n_paths: int
     seed: int
+
+    @property
+    def q0(self) -> PointEstimate:
+        return _midpoint(self.q_lower, self.q_upper)
+
+    @property
+    def q1(self) -> PointEstimate:
+        return _midpoint(self.q_lower, self.q_indep)
+
+    @property
+    def q2(self) -> PointEstimate:
+        return _midpoint(self.q_indep, self.q_upper)
+
+    @property
+    def ci(self) -> tuple[float, float]:
+        z = ndtri(1.0 - self.alpha / 2.0)
+        return (
+            self.q_lower.mean - z * self.q_lower.std_error,
+            self.q_upper.mean + z * self.q_upper.std_error,
+        )
 
     @property
     def estimates(self) -> dict[str, tuple[float, float]]:
@@ -110,7 +131,7 @@ class PricingReport:
             "alpha": self.alpha,
             "estimators": {},
             "point_estimates": {},
-            "ci": [self.ci[0], self.ci[1]],
+            "ci": list(self.ci),
         }
         for name, (value, se) in self.estimates.items():
             if isinstance(getattr(self, name), PointEstimate):
@@ -120,38 +141,10 @@ class PricingReport:
         return out
 
 
-def point_estimators(
-    q_lower: EstimatorResult,
-    q_indep: EstimatorResult,
-    q_upper: EstimatorResult,
-) -> tuple[PointEstimate, PointEstimate, PointEstimate]:
-    """Midpoint estimates q0, q1, q2 from the three bracketing estimators."""
-
-    def mid(lo: EstimatorResult, hi: EstimatorResult) -> PointEstimate:
-        value = 0.5 * (lo.mean + hi.mean)
-        spread = 0.5 * (hi.mean - lo.mean) + 0.5 * (hi.std_error + lo.std_error)
-        return PointEstimate(value=value, std_error=spread)
-
-    return mid(q_lower, q_upper), mid(q_lower, q_indep), mid(q_indep, q_upper)
-
-
-def confidence_interval(
-    q_lower: EstimatorResult,
-    q_upper: EstimatorResult,
-    alpha: float = 0.05,
-) -> tuple[float, float]:
-    """Outer interval [lower - z se, upper + z se] at two-sided level alpha.
-
-    Covers the continuous price whenever each bound's own normal interval
-    does, hence conservatively.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z = ndtri(1.0 - alpha / 2.0)
-    return (
-        q_lower.mean - z * q_lower.std_error,
-        q_upper.mean + z * q_upper.std_error,
-    )
+def _midpoint(lo: EstimatorResult, hi: EstimatorResult) -> PointEstimate:
+    value = 0.5 * (lo.mean + hi.mean)
+    spread = 0.5 * (hi.mean - lo.mean) + 0.5 * (hi.std_error + lo.std_error)
+    return PointEstimate(value=value, std_error=spread)
 
 
 def price(
@@ -176,19 +169,20 @@ def price(
     seed : int
         Stream key, in [0, 2**64).  Same seed, same answer, any workers.
     alpha : float
-        Two-sided level of the outer confidence interval.
+        Two-sided level of the outer confidence interval, in (0, 1).
     workers : int
-        Thread count for chunk evaluation.
+        Thread count for chunk evaluation, at least 1.
 
     Returns
     -------
     PricingReport
     """
     _check_run("n_paths", n_paths, 2, seed)
+    _check_count("workers", workers, 1)
+    if not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     validate(model, spec).raise_if_invalid()
     knock_out = spec.knock == "out"
     plan = _plan(model)
@@ -251,7 +245,6 @@ def price(
     if not knock_out:
         # The lower no-hit bound yields the upper knock-in price and vice versa.
         q_lower, q_upper = q_upper, q_lower
-    q0, q1, q2 = point_estimators(q_lower, q_indep, q_upper)
     return PricingReport(
         q_s=q_s,
         q_lower=q_lower,
@@ -259,10 +252,6 @@ def price(
         q_upper=q_upper,
         # With one event per interval the three weights are equal bit for bit.
         q_exact=q_upper if plan.exact else None,
-        q0=q0,
-        q1=q1,
-        q2=q2,
-        ci=confidence_interval(q_lower, q_upper, alpha),
         alpha=alpha,
         n_paths=n_paths,
         seed=seed,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -65,10 +66,6 @@ class TimeGrid:
     @property
     def maturity(self) -> float:
         return float(self.dates[-1])
-
-    @property
-    def step_sizes(self) -> np.ndarray:
-        return np.diff(self.dates)
 
     def dt(self, m: int) -> float:
         return float(self.dates[m + 1] - self.dates[m])
@@ -457,11 +454,11 @@ def load_config(
         if key not in cfg:
             raise ModelError(f"config is missing required key {key!r}")
 
-    d = int(cfg["assets"])
+    d = _number("assets", cfg["assets"], integer=True)
     spot = np.asarray(cfg["spot"], dtype=float)
     if spot.shape != (d,):
         raise ModelError(f"spot must have {d} entries")
-    rate = float(cfg["rate"])
+    rate = _number("rate", cfg["rate"])
 
     grid_cfg = cfg["grid"]
     _check_keys(grid_cfg, _GRID_KEYS, "grid")
@@ -476,11 +473,11 @@ def load_config(
         for key in ("maturity", "steps") if steps is None else ("maturity",):
             if key not in grid_cfg:
                 raise ModelError(f"grid is missing required key {key!r}")
-        n = int(grid_cfg["steps"]) if steps is None else int(steps)
-        grid = TimeGrid.uniform(float(grid_cfg["maturity"]), n)
+        n = _number("steps", grid_cfg["steps"] if steps is None else steps, integer=True)
+        grid = TimeGrid.uniform(_number("maturity", grid_cfg["maturity"]), n)
 
     regime_cfgs = cfg["regimes"]
-    if not regime_cfgs:
+    if not isinstance(regime_cfgs, list) or not regime_cfgs:
         raise ModelError("regimes must be a non-empty list")
     if len(regime_cfgs) not in (1, grid.n_steps):
         raise ModelError(
@@ -509,12 +506,28 @@ def load_config(
     _check_keys(oc, _OPTION_KEYS, "option")
     spec = OptionSpec(
         kind=oc.get("kind", "call"),
-        strike=float(oc.get("strike", 0.0)),
-        asset=int(oc.get("asset", 0)),
+        strike=_number("strike", oc.get("strike", 0.0)),
+        asset=_number("asset", oc.get("asset", 0), integer=True),
         knock=oc.get("knock", "out"),
-        rebate=float(oc.get("rebate", 0.0)),
+        rebate=_number("rebate", oc.get("rebate", 0.0)),
     )
     return model, spec
+
+
+def _number(key: str, value, integer: bool = False) -> float | int:
+    """The config value of ``key`` as a float, or as an int where ``integer``.
+
+    A boolean, string, list or null is refused, and so is a value that is
+    not integral where ``integer``; 16.0 reads as 16.
+    """
+    kind = "an integer" if integer else "a real number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{key} must be {kind}, got {value!r}")
+    if not integer:
+        return float(value)
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ModelError(f"{key} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:

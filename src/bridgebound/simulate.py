@@ -11,6 +11,8 @@ them with the regime's factor and advances them.  A knock-out price needs
 nothing from a row once it touches a barrier, so its walk drops dead rows:
 when fewer than half of the walked rows are alive it gathers the alive
 ones, and from then on draws up to the last of them and keeps only theirs.
+A walk carries exactly the rows it prices, with no spare row; a lone row
+is doubled in the correlation product only (see ``_walk``).
 Together these make every output a pure function of
 (seed, n_paths, model) no matter how chunks are scheduled across workers.
 
@@ -58,12 +60,6 @@ CHUNK = 32768
 # half an ulp below the smallest positive draw is statistically invisible.
 _U_FLOOR = 2.0**-54
 
-# Fewest rows a chunk walks, also after dropping dead rows.  numpy hands a
-# one-row matrix product to gemv, which can round the correlated draws
-# differently in the last bit from the same row of a many-row product; from
-# two rows on, any subset of rows agrees with the full product.
-_MIN_ROWS = 2
-
 
 @dataclass(frozen=True)
 class PathState:
@@ -100,17 +96,23 @@ class PathBatch:
     w_upper: np.ndarray
 
 
+def _check_count(name: str, count: int, least: int) -> None:
+    """Refuse ``count``, the argument called ``name``, unless it is an integer >= ``least``."""
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+
+
 def _check_run(name: str, count: int, least: int, seed: int) -> None:
     """Refuse a run's arguments before any chunk is scheduled.
 
     ``count`` (the argument called ``name``: a path count or a path index)
     must be an integer >= ``least``, and ``seed`` an integer in [0, 2**64).
     """
-    for arg, value in ((name, count), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{arg} must be an integer, got {value!r}")
-    if count < least:
-        raise ValueError(f"{name} must be >= {least}, got {count}")
+    _check_count(name, count, least)
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
@@ -149,11 +151,10 @@ class _Rows:
     Read the attributes afresh at every step: gathering replaces them.
     """
 
-    def __init__(self, walked: int, live: int, n_weights: int = 0):
-        self.index = np.arange(walked)
-        # Rows past ``live`` are walked only to reach _MIN_ROWS.
-        self.alive = self.index < live
-        self.weights = [np.ones(walked) for _ in range(n_weights)]
+    def __init__(self, rows: int, n_weights: int = 0):
+        self.index = np.arange(rows)
+        self.alive = np.ones(rows, dtype=bool)
+        self.weights = [np.ones(rows) for _ in range(n_weights)]
 
     def keep(self, keep: np.ndarray) -> None:
         self.index = self.index[keep]
@@ -212,8 +213,13 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
     walk's third (d, rows) buffer.  ``state.alive`` is cleared in place
     where a path's sampled endpoints touch or cross a barrier of the step.
     With ``compact``, a step that finds fewer than half of the walked rows
-    alive first gathers the alive ones (with a dead one if needed to keep
-    _MIN_ROWS), and a step that finds none ends the walk.
+    alive first gathers the alive ones, and a step that finds none ends the
+    walk.
+
+    numpy hands a one-row matrix product to gemv, which can round the
+    correlated draws differently in the last bit from the same row of a
+    many-row product; from two rows on, any subset of rows agrees with the
+    full product.  So a walk of one row multiplies it twice and keeps one.
     """
     gen = _stream(seed, chunk_index)
     d, rows = plan.d, len(state.index)
@@ -227,10 +233,8 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
                 return
             if 2 * live < rows:
                 keep = np.flatnonzero(state.alive)
-                if live < _MIN_ROWS:
-                    keep = np.array([0, max(keep[0], 1)])
                 state.keep(keep)
-                rows = len(keep)
+                rows = live
                 # Gather into the front of the spare buffer; every buffer
                 # keeps its first d * rows elements from here on.  A mode
                 # other than "raise" lets take() write to ``out`` unbuffered.
@@ -243,6 +247,8 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
         z = _normal_block(gen, d, state.index)
         if kernel.factor is None:
             np.copyto(zt.T, z)
+        elif rows == 1:
+            np.copyto(zt.T, (np.repeat(z, 2, axis=0) @ kernel.factor.T)[:1])
         else:
             # The same row-major BLAS product, and so the same bits, as into
             # a (rows, d) array.
@@ -264,9 +270,8 @@ def _compute_batch(
     terminal prices of the alive rows only.  The plan has at least one step.
     """
     rows = min(CHUNK, n_paths - chunk_index * CHUNK)
-    walked = max(rows, _MIN_ROWS)
     # An exact plan's three weights are equal bit for bit: carry one.
-    state = _Rows(walked, rows, n_weights=1 if plan.exact else 3)
+    state = _Rows(rows, n_weights=1 if plan.exact else 3)
     for kernel, x0, x1 in _walk(plan, seed, chunk_index, state, compact):
         if kernel.events:
             # Rows that touch a barrier are dead, and the alive mask zeroes
@@ -280,12 +285,12 @@ def _compute_batch(
     # Rows that a compacting walk dropped are dead: False, and +0.0 weights.
     cols = []
     for kept in (state.alive, *state.weights):
-        full = np.zeros(walked, kept.dtype)
+        full = np.zeros(rows, kept.dtype)
         full[state.index] = kept
-        cols.append(full[:rows])
+        cols.append(full)
     alive, *weights = cols
     w_lower, w_indep, w_upper = weights * 3 if plan.exact else weights
-    terminal = np.exp(x1[:, state.alive] if compact else x1[:, :rows]).T
+    terminal = np.exp(x1[:, state.alive] if compact else x1).T
     return PathBatch(terminal, alive, w_lower, w_indep, w_upper)
 
 
@@ -319,8 +324,7 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
     chunk_index, row = divmod(path_index, CHUNK)
     values = np.empty((len(plan.steps) + 1, plan.d))
     values[0] = model.spot
-    walked = max(row + 1, _MIN_ROWS)
-    state = _Rows(walked, walked)
+    state = _Rows(row + 1)
     for m, (_, _, x1) in enumerate(_walk(plan, seed, chunk_index, state)):
         values[m + 1] = np.exp(x1[:, row])
     return PathState(values=values, alive_discrete=bool(state.alive[row]), path_index=path_index)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +190,17 @@ class TestNoHitProbability:
         assert down_and_out_digital(p) == pytest.approx(
             math.exp(-0.05) * no_hit_probability(p), rel=1e-12
         )
+
+    def test_engine_prices_the_digital(self):
+        """table1a's contract as a knock-out digital at strike 0, which pays 1
+        at maturity if alive: at M=1 the bridge-corrected price meets the
+        closed form, and the discretely monitored one misses it."""
+        model, spec = load_config("table1a", steps=1)
+        report = price(model, replace(spec, kind="digital", strike=0.0), 400_000, seed=11)
+        value = down_and_out_digital(BsParams(100.0, 100.0, 0.3, 0.1, 0.5, barrier=90.0))
+        assert value == pytest.approx(0.40024, abs=1e-5)
+        assert abs(report.q_exact.mean - value) <= 3 * report.q_exact.std_error
+        assert report.q_s.mean - value > 3 * report.q_s.std_error
 
 
 def _contract(name: str, **changes):

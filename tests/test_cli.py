@@ -105,7 +105,18 @@ class TestPrice:
         ({"grid": {"maturity": 0.5}}, "'steps'"),
         ({"grid": {"dates": [0.0, 0.5], "steps": 1}}, "'steps'"),
         ({"regimes": [{"sigma": [0.3], "lower": 90}]}, "lower"),
-    ], ids=["no-maturity", "no-steps", "dates-and-steps", "scalar-barrier"])
+        ({"rate": [0.1]}, "rate"),
+        ({"assets": None}, "assets"),
+        ({"option": {"strike": [100]}}, "strike"),
+        ({"option": {"strike": 100.0, "rebate": None}}, "rebate"),
+        ({"option": {"strike": 100.0, "asset": 0.7}}, "asset"),
+        ({"grid": {"maturity": [1], "steps": 1}}, "maturity"),
+        ({"grid": {"maturity": 0.5, "steps": 16.7}}, "steps"),
+        ({"grid": {"maturity": 0.5, "steps": True}}, "steps"),
+        ({"regimes": {"sigma": [0.3], "lower": [90.0]}}, "regimes"),
+    ], ids=["no-maturity", "no-steps", "dates-and-steps", "scalar-barrier", "list-rate",
+            "null-assets", "list-strike", "null-rebate", "fractional-asset", "list-maturity",
+            "fractional-steps", "bool-steps", "regimes-object"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, change, key):
         """A malformed config ends with an error naming the key, not a traceback."""
         from bridgebound.model import config_path

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from bridgebound.estimators import (
     EstimatorResult,
-    confidence_interval,
+    PointEstimate,
+    PricingReport,
     path_contributions,
-    point_estimators,
     price,
 )
 from bridgebound.model import (
@@ -40,19 +41,26 @@ def barrier_free_model(d=1, sigma=0.3, rate=0.1, maturity=0.5, steps=1, corr=Non
     )
 
 
+def synthetic_report(lo, mid, hi, alpha=0.05):
+    """A report on the bracketing columns (lo, mid, hi), as ``price`` would build it."""
+    return PricingReport(q_s=hi, q_lower=lo, q_indep=mid, q_upper=hi, q_exact=None,
+                         alpha=alpha, n_paths=2, seed=0)
+
+
 class TestPointEstimators:
     def test_midpoints_and_spreads(self):
         lo = EstimatorResult(mean=1.0, std_error=0.1)
         mid = EstimatorResult(mean=2.0, std_error=0.2)
         hi = EstimatorResult(mean=4.0, std_error=0.3)
-        q0, q1, q2 = point_estimators(lo, mid, hi)
+        report = synthetic_report(lo, mid, hi)
+        q0, q1, q2 = report.q0, report.q1, report.q2
         assert q0.value == 2.5 and q0.std_error == pytest.approx(1.5 + 0.2)
         assert q1.value == 1.5 and q1.std_error == pytest.approx(0.5 + 0.15)
         assert q2.value == 3.0 and q2.std_error == pytest.approx(1.0 + 0.25)
 
     def test_collapsed_bracket_keeps_statistical_error(self):
         a = EstimatorResult(mean=5.0, std_error=0.2)
-        q0, _, _ = point_estimators(a, a, a)
+        q0 = synthetic_report(a, a, a).q0
         assert q0.value == 5.0
         assert q0.std_error == pytest.approx(0.2)
 
@@ -61,21 +69,21 @@ class TestConfidenceInterval:
     def test_two_sided_95(self):
         lo = EstimatorResult(mean=1.0, std_error=0.5)
         hi = EstimatorResult(mean=3.0, std_error=0.25)
-        ci = confidence_interval(lo, hi, alpha=0.05)
+        ci = synthetic_report(lo, lo, hi, alpha=0.05).ci
         assert ci[0] == pytest.approx(1.0 - Z_95 * 0.5, rel=1e-12)
         assert ci[1] == pytest.approx(3.0 + Z_95 * 0.25, rel=1e-12)
 
     def test_narrower_at_larger_alpha(self):
         lo = EstimatorResult(mean=1.0, std_error=0.5)
         hi = EstimatorResult(mean=3.0, std_error=0.5)
-        wide = confidence_interval(lo, hi, alpha=0.01)
-        narrow = confidence_interval(lo, hi, alpha=0.5)
+        wide = synthetic_report(lo, lo, hi, alpha=0.01).ci
+        narrow = synthetic_report(lo, lo, hi, alpha=0.5).ci
         assert wide[0] < narrow[0] < narrow[1] < wide[1]
 
     def test_alpha_validated(self):
-        lo = EstimatorResult(mean=1.0, std_error=0.5)
+        model, spec = load_config("table1a")
         with pytest.raises(ValueError, match="alpha"):
-            confidence_interval(lo, lo, alpha=0.0)
+            price(model, spec, 100, alpha=0.0)
 
 
 class TestPriceArguments:
@@ -84,13 +92,24 @@ class TestPriceArguments:
         with pytest.raises(ValueError, match="n_paths"):
             price(model, spec, 1)
 
-    @pytest.mark.parametrize("entry", [price, path_contributions], ids=["price", "contributions"])
-    @pytest.mark.parametrize("kwargs, message", [
-        pytest.param({"n_paths": 1e5}, "n_paths must be an integer", id="float-paths"),
-        pytest.param({"n_paths": 40000.0}, "n_paths must be an integer", id="integral-float-paths"),
-        pytest.param({"seed": 1.5}, "seed must be an integer", id="float-seed"),
-        pytest.param({"spec": OptionSpec(strike=100.0, asset=0.5)},
-                     "option asset index must be an integer, got 0.5", id="float-asset"),
+    @pytest.mark.parametrize("entry, kwargs, message", [
+        *(pytest.param(entry, kwargs, message, id=f"{case}-{name}")
+          for case, kwargs, message in [
+              ("float-paths", {"n_paths": 1e5}, "n_paths must be an integer"),
+              ("integral-float-paths", {"n_paths": 40000.0}, "n_paths must be an integer"),
+              ("float-seed", {"seed": 1.5}, "seed must be an integer"),
+              ("float-asset", {"spec": OptionSpec(strike=100.0, asset=0.5)},
+               "option asset index must be an integer, got 0.5"),
+          ]
+          for name, entry in [("price", price), ("contributions", path_contributions)]),
+        # Run arguments of price alone.
+        *(pytest.param(price, kwargs, message, id=f"{case}-price")
+          for case, kwargs, message in [
+              ("float-workers", {"workers": 2.5}, "workers must be an integer, got 2.5"),
+              ("string-workers", {"workers": "2"}, "workers must be an integer, got '2'"),
+              ("string-alpha", {"alpha": "0.1"}, "alpha must be a real number, got '0.1'"),
+              ("null-alpha", {"alpha": None}, "alpha must be a real number, got None"),
+          ]),
     ])
     def test_run_arguments_refused(self, entry, kwargs, message):
         """Refused at the call with the field named, never a TypeError or IndexError."""
@@ -210,15 +229,19 @@ class TestPricingReport:
     def test_point_estimates_follow_from_estimators(self):
         model, spec = load_config("table2", steps=4)
         report = price(model, spec, 5000, seed=0)
-        q0, q1, q2 = point_estimators(report.q_lower, report.q_indep, report.q_upper)
-        assert report.q0 == q0
-        assert report.q1 == q1
-        assert report.q2 == q2
+        lo, mid, hi = report.q_lower, report.q_indep, report.q_upper
+        for got, (a, b) in ((report.q0, (lo, hi)), (report.q1, (lo, mid)), (report.q2, (mid, hi))):
+            assert got == PointEstimate(
+                value=0.5 * (a.mean + b.mean),
+                std_error=0.5 * (b.mean - a.mean) + 0.5 * (b.std_error + a.std_error),
+            )
 
     def test_ci_matches_confidence_interval(self):
         model, spec = load_config("table2", steps=4)
         report = price(model, spec, 5000, seed=0, alpha=0.1)
-        assert report.ci == confidence_interval(report.q_lower, report.q_upper, alpha=0.1)
+        z = ndtri(1.0 - 0.1 / 2.0)
+        lo, hi = report.q_lower, report.q_upper
+        assert report.ci == (lo.mean - z * lo.std_error, hi.mean + z * hi.std_error)
         assert report.alpha == 0.1
 
     def test_to_dict_shape(self):

@@ -49,7 +49,7 @@ class TestTimeGrid:
         grid = TimeGrid.uniform(0.5, 4)
         assert grid.n_steps == 4
         assert grid.maturity == 0.5
-        assert np.allclose(grid.step_sizes, 0.125)
+        assert np.allclose(np.diff(grid.dates), 0.125)
         assert grid.dt(2) == pytest.approx(0.125)
         assert grid.dates[0] == 0.0
 
@@ -461,7 +461,7 @@ class TestLoadConfig:
         """``grid.dates`` sets a non-uniform grid; a single regime broadcasts over it."""
         model, spec = load_config(dict(BASE_CONFIG, grid={"dates": [0.0, 0.25, 1.0]}))
         assert np.array_equal(model.grid.dates, [0.0, 0.25, 1.0])
-        assert np.array_equal(model.grid.step_sizes, [0.25, 0.75])
+        assert np.array_equal(np.diff(model.grid.dates), [0.25, 0.75])
         assert len(model.regimes) == 2
         assert validate(model, spec).ok
 
@@ -506,6 +506,45 @@ class TestLoadConfig:
     def test_refusal_named(self, cfg, message):
         with pytest.raises(ModelError, match=re.escape(message)):
             load_config(cfg)
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"rate": [0.1]}, "rate must be a real number, got [0.1]", id="list-rate"),
+        pytest.param({"rate": True}, "rate must be a real number, got True", id="bool-rate"),
+        pytest.param({"assets": None}, "assets must be an integer, got None", id="null-assets"),
+        pytest.param({"option": {"strike": [100]}}, "strike must be a real number, got [100]",
+                     id="list-strike"),
+        pytest.param({"option": {"strike": 100.0, "rebate": None}},
+                     "rebate must be a real number, got None", id="null-rebate"),
+        pytest.param({"option": {"strike": 100.0, "asset": 0.7}},
+                     "asset must be an integer, got 0.7", id="fractional-asset"),
+        pytest.param({"grid": {"maturity": [1], "steps": 4}},
+                     "maturity must be a real number, got [1]", id="list-maturity"),
+        pytest.param({"grid": {"maturity": 1.0, "steps": 16.7}},
+                     "steps must be an integer, got 16.7", id="fractional-steps"),
+        pytest.param({"grid": {"maturity": 1.0, "steps": True}},
+                     "steps must be an integer, got True", id="bool-steps"),
+        pytest.param({"grid": {"maturity": 1.0, "steps": "16"}},
+                     "steps must be an integer, got '16'", id="string-steps"),
+        pytest.param({"regimes": {"sigma": [0.3, 0.3]}}, "regimes must be a non-empty list",
+                     id="regimes-object"),
+    ])
+    def test_scalar_refused_by_key(self, change, message):
+        """A scalar of the wrong type, or a fractional count, is refused with its key named."""
+        with pytest.raises(ModelError, match=re.escape(message)):
+            load_config(dict(BASE_CONFIG, **change))
+
+    def test_steps_override_refused_unless_integral(self):
+        with pytest.raises(ModelError, match=re.escape("steps must be an integer, got 2.5")):
+            load_config(BASE_CONFIG, steps=2.5)
+        assert load_config(BASE_CONFIG, steps=2.0)[0].grid.n_steps == 2
+
+    def test_integral_values_read_as_integers(self):
+        cfg = dict(BASE_CONFIG, assets=2.0, grid={"maturity": 1.0, "steps": 16.0},
+                   option={"kind": "call", "strike": 100, "asset": 1.0})
+        model, spec = load_config(cfg)
+        assert model.grid.n_steps == 16 and model.d == 2
+        assert spec.asset == 1 and isinstance(spec.asset, int)
+        assert spec.strike == 100.0 and isinstance(spec.strike, float)
 
     def test_unknown_key_rejected(self):
         cfg = dict(BASE_CONFIG, dividends=0.02)

@@ -57,7 +57,7 @@ class TestStep:
         the engine's internals.
         """
         model = flat_model(d=1, sigma=0.0, rate=0.1, maturity=1.0, steps=1)
-        (terminal,) = [np.exp(x1[0, 3]) for _, _, x1 in _walk(_plan(model), 0, 0, _Rows(4, 4))]
+        (terminal,) = [np.exp(x1[0, 3]) for _, _, x1 in _walk(_plan(model), 0, 0, _Rows(4))]
         assert math.isclose(terminal, 110.51709180756476, rel_tol=1e-14)
 
     def test_martingale_property(self):
@@ -129,7 +129,7 @@ class TestSimulatePath:
         """``validate`` refuses a spot on a barrier, so the model is walked
         through the engine's internals."""
         model = flat_model(lower=[100.0])
-        state = _Rows(2, 2)
+        state = _Rows(2)
         for _ in _walk(_plan(model), 0, 0, state):
             pass
         assert not state.alive[0]
@@ -374,7 +374,7 @@ def _assert_compact_batch_is_full_walk(model, n, seed=7):
 
 def _walk_history(model, rows, seed=7):
     """(walked rows, alive rows) after each step of a compacting walk of one chunk."""
-    state = _Rows(rows, rows)
+    state = _Rows(rows)
     return [(len(state.index), int(state.alive.sum()))
             for _ in _walk(_plan(model), seed, 0, state, compact=True)]
 
@@ -408,10 +408,10 @@ class TestDeadRowsDropped:
         _compute_batch(_plan(model), 7, 0, CHUNK, compact=True)
         assert kept and all(2 <= k < CHUNK // 2 for k in kept)
 
-    def test_every_row_dies_and_one_row_is_padded(self):
-        """Keeping one alive row walks a dead one beside it; no alive row ends the walk."""
+    def test_every_row_dies_and_the_walk_stops(self):
+        """Keeping one alive row walks that row alone; no alive row ends the walk."""
         model = _box_model()
-        assert _walk_history(model, 1000) == [(1000, 60), (60, 1), (2, 0)]
+        assert _walk_history(model, 1000) == [(1000, 60), (60, 1), (1, 0)]
         _assert_compact_batch_is_full_walk(model, 1000)
 
     def test_spot_on_barrier_ends_walk_after_first_step(self):
@@ -421,19 +421,18 @@ class TestDeadRowsDropped:
 
     @pytest.mark.parametrize("row", [0, 1, 3])
     def test_lone_alive_row_is_walked_as_in_full_chunk(self, row):
-        """A gathered lone row, padded to two, gets the full chunk's prices."""
+        """A gathered lone row, walked alone, gets the full chunk's prices."""
         model, _ = load_config("table4_d10", steps=4)
         plan = _plan(model)
-        full = [x1.copy() for _, _, x1 in _walk(plan, 7, 0, _Rows(5, 5))]
-        state = _Rows(5, 5)
+        full = [x1.copy() for _, _, x1 in _walk(plan, 7, 0, _Rows(5))]
+        state = _Rows(5)
         for m, (_, _, x1) in enumerate(_walk(plan, 7, 0, state, compact=True)):
             if m == 0:
                 state.alive[:] = state.index == row  # every other row dies
             else:
-                assert len(state.index) == 2 and row in state.index
-                state.alive[:] = state.index == row  # keep it alive to maturity
-                pos = int(np.flatnonzero(state.index == row)[0])
-                assert x1[:, pos].tobytes() == full[m][:, row].tobytes(), m
+                assert state.index.tolist() == [row]
+                state.alive[:] = True  # keep it alive to maturity
+                assert x1[:, 0].tobytes() == full[m][:, row].tobytes(), m
 
     def test_barrier_from_second_date(self):
         corr = [[1.0, 0.4, 0.2], [0.4, 1.0, 0.4], [0.2, 0.4, 1.0]]
