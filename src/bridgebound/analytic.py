@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .model import MarketModel, OptionSpec, validate
+from .model import MarketModel, ModelError, OptionSpec, read_real, validate
 
 __all__ = [
     "BsParams",
@@ -32,10 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BsParams:
-    """Inputs of the single-asset closed forms.
+    """Inputs of the single-asset closed forms, each a finite real number.
 
     ``barrier`` is the lower knock-out level; None (or any non-positive
-    value) means no barrier.
+    value) means no barrier.  A refused value raises ModelError naming it.
     """
 
     spot: float
@@ -46,14 +46,15 @@ class BsParams:
     barrier: float | None = None
 
     def __post_init__(self) -> None:
-        if self.spot <= 0 or self.strike <= 0:
-            raise ValueError("spot and strike must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.maturity <= 0:
-            raise ValueError("maturity must be positive")
+        for name, value in vars(self).items():
+            if value is None and name == "barrier":
+                continue
+            if not math.isfinite(read_real(name, value)):
+                raise ModelError(f"{name} must be finite, got {value}")
+            if value <= 0 and name not in ("rate", "barrier"):
+                raise ModelError(f"{name} must be positive, got {value}")
         if self.barrier is not None and self.barrier >= self.spot:
-            raise ValueError("barrier must lie below spot")
+            raise ModelError("barrier must lie below spot")
 
 
 def vanilla_call(p: BsParams) -> float:

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import ModelError, Regime, _regime_violations, factor_correlation
+from .model import ModelError, Regime, _regime_violations, factor_correlation, read_int, read_real
 
 __all__ = [
     "IntervalContext",
@@ -70,7 +70,7 @@ class IntervalContext:
             if not np.all(np.isfinite(values) & (values > 0.0)):
                 raise ModelError(f"{name} entries must be finite and > 0, got {values.tolist()}")
             object.__setattr__(self, name, values)
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not (math.isfinite(read_real("dt", self.dt)) and self.dt > 0.0):
             raise ModelError(f"dt must be finite and > 0, got {self.dt}")
 
 
@@ -218,12 +218,12 @@ def oracle_no_hit(
     ``default_rng(seed)`` stream read in (trial, substep, asset) order, so
     the draws, and the estimate, are the same for any block size and with
     or without the overlap.  Only the assets that carry a barrier are built
-    into paths.
+    into paths.  ``seed`` is None, for fresh entropy, or in [0, 2**64).
     """
-    if substeps < 100:
-        raise ValueError(f"substeps must be >= 100, got {substeps}")
-    if trials < 10_000:
-        raise ValueError(f"trials must be >= 10000, got {trials}")
+    substeps = read_int("substeps", substeps, 100)
+    trials = read_int("trials", trials, 10_000)
+    if seed is not None:
+        seed = read_int("seed", seed, 0, 2**64)
     regime = ctx.regime
     events = _events(regime, ctx.dt)
     if not events:

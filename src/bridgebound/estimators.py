@@ -20,15 +20,14 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .model import MarketModel, OptionSpec, validate
-from .simulate import _check_count, _check_run, _compute_batch, _n_chunks, _plan
+from .model import MarketModel, ModelError, OptionSpec, read_int, read_real, validate
+from .simulate import _compute_batch, _n_chunks, _plan
 
 __all__ = [
     "EstimatorResult",
@@ -158,7 +157,7 @@ def price(
     """Price the option under the model with all estimators in one pass.
 
     Dispatches on ``spec.knock``; a nonzero ``spec.rebate`` is paid at
-    maturity when a knock-out option is knocked out.
+    maturity when a knock-out option is knocked out.  Refusals raise ModelError.
 
     Parameters
     ----------
@@ -177,12 +176,12 @@ def price(
     -------
     PricingReport
     """
-    _check_run("n_paths", n_paths, 2, seed)
-    _check_count("workers", workers, 1)
-    if not isinstance(alpha, numbers.Real):
-        raise ValueError(f"alpha must be a real number, got {alpha!r}")
+    n_paths = read_int("n_paths", n_paths, 2)
+    seed = read_int("seed", seed, 0, 2**64)
+    workers = read_int("workers", workers, 1)
+    alpha = read_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise ModelError(f"alpha must be in (0, 1), got {alpha}")
     validate(model, spec).raise_if_invalid()
     knock_out = spec.knock == "out"
     plan = _plan(model)
@@ -270,7 +269,8 @@ def path_contributions(
     ``w_lower``, ``w_indep``, ``w_upper``, and ``w_exact`` when available.
     Intended for inspection and tests, not for pricing at scale.
     """
-    _check_run("n_paths", n_paths, 1, seed)
+    n_paths = read_int("n_paths", n_paths, 1)
+    seed = read_int("seed", seed, 0, 2**64)
     validate(model, spec).raise_if_invalid()
     plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)

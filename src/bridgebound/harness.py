@@ -18,8 +18,7 @@ import numpy as np
 
 from .analytic import reference_price
 from .estimators import PricingReport, price
-from .model import load_config
-from .simulate import _check_run
+from .model import ModelError, _read_count, load_config, read_int
 
 __all__ = [
     "SweepSpec",
@@ -52,16 +51,14 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(float(m).is_integer() for m in self.m_values):
-            raise ValueError(f"m_values must be integers, got {tuple(self.m_values)}")
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        if not self.m_values:
-            raise ValueError("m_values must be non-empty")
-        if self.m_values[0] < 1 or any(
-            b <= a for a, b in zip(self.m_values, self.m_values[1:])
-        ):
-            raise ValueError("m_values must be strictly increasing and >= 1")
-        _check_run("n_paths", self.n_paths, 2, self.seed)
+        m_values = tuple(_read_count("m_values", m, 1) for m in self.m_values)
+        object.__setattr__(self, "m_values", m_values)
+        if not m_values:
+            raise ModelError("m_values must be non-empty")
+        if any(b <= a for a, b in zip(m_values, m_values[1:])):
+            raise ModelError("m_values must be strictly increasing")
+        read_int("n_paths", self.n_paths, 2)
+        read_int("seed", self.seed, 0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -457,8 +454,7 @@ def reproduce_table(
     bound at M = 1 is exactly zero, and the estimator ordering
     q_lower <= q_indep <= q_upper holds at every M.
     """
-    if table_id not in _TABLE_PLAN:
-        raise ValueError(f"table_id must be one of 1, 2, 3, 4, got {table_id}")
+    table_id = read_int("table_id", table_id, 1, len(_TABLE_PLAN) + 1)
     checks: list[GoldenCheck] = []
     reports: dict[tuple[str, int], PricingReport] = {}
     for golden in _TABLE_PLAN[table_id]:

@@ -43,6 +43,30 @@ class ModelError(ValueError):
     """Raised for invalid market models, option specs, or config files."""
 
 
+def _is(kind: type, value) -> bool:
+    """Whether ``value`` is a number of ``kind``; never a bool, which Python counts an int."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def read_int(name: str, value, least: int, below: int | None = None) -> int:
+    """``value``, the argument called ``name``, as an int in [least, below), or ModelError."""
+    if not _is(numbers.Integral, value):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    if below is None and value < least:
+        raise ModelError(f"{name} must be >= {least}, got {value}")
+    if below is not None and not least <= value < below:
+        top = f"2**{below.bit_length() - 1}" if below > 2**32 and below.bit_count() == 1 else below
+        raise ModelError(f"{name} must be in [{least}, {top}), got {value}")
+    return int(value)
+
+
+def read_real(name: str, value) -> float:
+    """``value``, the argument called ``name``, as a float, or ModelError; NaN and inf pass."""
+    if not _is(numbers.Real, value):
+        raise ModelError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Sampling dates 0 = t_0 < t_1 < ... < t_M = T, in years."""
@@ -55,9 +79,8 @@ class TimeGrid:
     @classmethod
     def uniform(cls, maturity: float, steps: int) -> TimeGrid:
         """Equally spaced grid with ``steps`` intervals ending at ``maturity``."""
-        if steps < 1:
-            raise ModelError(f"steps must be >= 1, got {steps}")
-        return cls(np.linspace(0.0, float(maturity), steps + 1))
+        steps = read_int("steps", steps, 1)
+        return cls(np.linspace(0.0, read_real("maturity", maturity), steps + 1))
 
     @property
     def n_steps(self) -> int:
@@ -125,7 +148,7 @@ def _as_barriers(values, d: int, side: str) -> tuple[float | None, ...]:
     if values is None:
         return (None,) * d
     try:
-        out = tuple(None if v is None else float(v) for v in values)
+        out = tuple(None if v is None else read_real(side, v) for v in values)
     except TypeError:
         raise ModelError(f"{side} must be a list of numbers or nulls, got {values!r}") from None
     if len(out) != d:
@@ -340,8 +363,7 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
         report.violations.append("spots must be finite")
     if np.any(model.spot <= 0.0):
         report.violations.append("spots must be strictly positive")
-    if not math.isfinite(model.rate):
-        report.violations.append("rate must be finite")
+    report.violations += _real_violations("rate", model.rate)
     if len(model.regimes) != model.grid.n_steps:
         report.violations.append(
             f"expected {model.grid.n_steps} regimes, got {len(model.regimes)}"
@@ -382,22 +404,25 @@ def validate(model: MarketModel, spec: OptionSpec | None = None) -> ValidationRe
             report.violations.append("custom option kind requires a payoff hook")
         if spec.knock not in ("out", "in"):
             report.violations.append(f"knock must be 'out' or 'in', got {spec.knock!r}")
-        if not math.isfinite(spec.strike):
-            report.violations.append("strike must be finite")
-        if spec.strike < 0.0:
-            report.violations.append("strike must be >= 0")
-        if not math.isfinite(spec.rebate):
-            report.violations.append("rebate must be finite")
-        if spec.rebate < 0.0:
-            report.violations.append("rebate must be >= 0")
+        for name in ("strike", "rebate"):
+            report.violations += _real_violations(name, getattr(spec, name), nonnegative=True)
         if spec.knock == "in" and spec.rebate != 0.0:
             report.violations.append("rebate is only supported for knock-out options")
-        if not isinstance(spec.asset, (int, np.integer)):
+        if not _is(numbers.Integral, spec.asset):
             report.violations.append(f"option asset index must be an integer, got {spec.asset!r}")
         elif not 0 <= spec.asset < d:
             report.violations.append(f"option asset index {spec.asset} out of range for d={d}")
 
     return report
+
+
+def _real_violations(name: str, value, nonnegative: bool = False) -> list[str]:
+    """Why ``value`` of field ``name`` is not a finite real number (>= 0 where ``nonnegative``)."""
+    if not _is(numbers.Real, value):
+        return [f"{name} must be a real number, got {value!r}"]
+    if not math.isfinite(value):
+        return [f"{name} must be finite"]
+    return [f"{name} must be >= 0"] if nonnegative and value < 0.0 else []
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +479,11 @@ def load_config(
         if key not in cfg:
             raise ModelError(f"config is missing required key {key!r}")
 
-    d = _number("assets", cfg["assets"], integer=True)
-    spot = np.asarray(cfg["spot"], dtype=float)
+    d = _read_count("assets", cfg["assets"], 1)
+    spot = np.asarray(_reals("spot", cfg["spot"]))
     if spot.shape != (d,):
         raise ModelError(f"spot must have {d} entries")
-    rate = _number("rate", cfg["rate"])
+    rate = read_real("rate", cfg["rate"])
 
     grid_cfg = cfg["grid"]
     _check_keys(grid_cfg, _GRID_KEYS, "grid")
@@ -468,13 +493,13 @@ def load_config(
         extra = sorted(set(grid_cfg) - {"dates"})
         if extra:
             raise ModelError(f"grid key {extra[0]!r} cannot be combined with 'dates'")
-        grid = TimeGrid(grid_cfg["dates"])
+        grid = TimeGrid(_reals("dates", grid_cfg["dates"]))
     else:
         for key in ("maturity", "steps") if steps is None else ("maturity",):
             if key not in grid_cfg:
                 raise ModelError(f"grid is missing required key {key!r}")
-        n = _number("steps", grid_cfg["steps"] if steps is None else steps, integer=True)
-        grid = TimeGrid.uniform(_number("maturity", grid_cfg["maturity"]), n)
+        n = _read_count("steps", grid_cfg["steps"] if steps is None else steps, 1)
+        grid = TimeGrid.uniform(grid_cfg["maturity"], n)
 
     regime_cfgs = cfg["regimes"]
     if not isinstance(regime_cfgs, list) or not regime_cfgs:
@@ -493,9 +518,9 @@ def load_config(
             raise ModelError("regime is missing required key 'sigma'")
         regimes.append(
             Regime(
-                mu=rc.get("mu", [rate] * d),
-                sigma=rc["sigma"],
-                corr=rc.get("corr"),
+                mu=_reals("mu", rc.get("mu", [rate] * d)),
+                sigma=_reals("sigma", rc["sigma"]),
+                corr=None if rc.get("corr") is None else _reals("corr", rc["corr"]),
                 lower=rc.get("lower"),
                 upper=rc.get("upper"),
             )
@@ -506,28 +531,26 @@ def load_config(
     _check_keys(oc, _OPTION_KEYS, "option")
     spec = OptionSpec(
         kind=oc.get("kind", "call"),
-        strike=_number("strike", oc.get("strike", 0.0)),
-        asset=_number("asset", oc.get("asset", 0), integer=True),
+        strike=read_real("strike", oc.get("strike", 0.0)),
+        asset=_read_count("asset", oc.get("asset", 0), 0),
         knock=oc.get("knock", "out"),
-        rebate=_number("rebate", oc.get("rebate", 0.0)),
+        rebate=read_real("rebate", oc.get("rebate", 0.0)),
     )
     return model, spec
 
 
-def _number(key: str, value, integer: bool = False) -> float | int:
-    """The config value of ``key`` as a float, or as an int where ``integer``.
+def _read_count(key: str, value, least: int) -> int:
+    # JSON has no integer type: a config's 16.0 is 16.  Run arguments stay strict.
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return read_int(key, value, least)
 
-    A boolean, string, list or null is refused, and so is a value that is
-    not integral where ``integer``; 16.0 reads as 16.
-    """
-    kind = "an integer" if integer else "a real number"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ModelError(f"{key} must be {kind}, got {value!r}")
-    if not integer:
-        return float(value)
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-        raise ModelError(f"{key} must be {kind}, got {value!r}")
-    return int(value)
+
+def _reals(key: str, values):
+    """The config array under ``key``, nested lists kept, each number read by :func:`read_real`."""
+    if isinstance(values, (list, tuple)):
+        return [_reals(key, v) for v in values]
+    return read_real(key, values)
 
 
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:

@@ -28,8 +28,8 @@ reported.  A sampled value exactly on a barrier counts as a hit.  Each
 step's events, alive check and no-hit bounds are bridge.py's vector kernel.
 A chunk's alive flags and weights always come back at full length, dropped
 rows as dead; the walk mode only chooses which terminal prices come back.
-The public entries refuse any model that ``validate`` refuses, and a path
-count, path index or seed that is not an integer in range.
+The public entries raise ModelError for a model that ``validate`` refuses,
+and for a path count, path index or seed that is not an integer in range.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bridge import _clear_touched, _Event, _events, _no_hit
-from .model import MarketModel, factor_correlation, validate
+from .model import MarketModel, factor_correlation, read_int, validate
 
 __all__ = [
     "CHUNK",
@@ -96,31 +96,9 @@ class PathBatch:
     w_upper: np.ndarray
 
 
-def _check_count(name: str, count: int, least: int) -> None:
-    """Refuse ``count``, the argument called ``name``, unless it is an integer >= ``least``."""
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
-    if count < least:
-        raise ValueError(f"{name} must be >= {least}, got {count}")
-
-
-def _check_run(name: str, count: int, least: int, seed: int) -> None:
-    """Refuse a run's arguments before any chunk is scheduled.
-
-    ``count`` (the argument called ``name``: a path count or a path index)
-    must be an integer >= ``least``, and ``seed`` an integer in [0, 2**64).
-    """
-    _check_count(name, count, least)
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-
-
 def _stream(seed: int, chunk_index: int) -> np.random.Generator:
     """The counter-based generator owning the draws of one chunk."""
-    # A numpy integer seed would shift out to 0: key with a Python int.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + chunk_index))
+    return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk_index))
 
 
 def _normal_block(gen: np.random.Generator, d: int, index: np.ndarray) -> np.ndarray:
@@ -298,9 +276,10 @@ def path_batches(model: MarketModel, n_paths: int, seed: int = 0) -> Iterator[Pa
     """PathBatch chunks covering ``n_paths`` paths, in chunk order.
 
     Raises ModelError at the call for a model that :func:`validate` refuses,
-    and ValueError for a path count below 1 or a bad seed.
+    a path count below 1 or a seed outside [0, 2**64).
     """
-    _check_run("n_paths", n_paths, 1, seed)
+    n_paths = read_int("n_paths", n_paths, 1)
+    seed = read_int("seed", seed, 0, 2**64)
     validate(model).raise_if_invalid()
     plan = _plan(model)
     return (_compute_batch(plan, seed, c, n_paths) for c in range(_n_chunks(n_paths)))
@@ -316,9 +295,10 @@ def simulate_path(model: MarketModel, path_index: int, seed: int = 0) -> PathSta
     The chunk containing ``path_index`` is regenerated up to the path's row
     and the row extracted, so the result never depends on worker count or on
     how many other paths a pricing run asked for.  Raises ModelError for a
-    model that :func:`validate` refuses.
+    model that :func:`validate` refuses, a negative path index or a bad seed.
     """
-    _check_run("path_index", path_index, 0, seed)
+    path_index = read_int("path_index", path_index, 0)
+    seed = read_int("seed", seed, 0, 2**64)
     validate(model).raise_if_invalid()
     plan = _plan(model)
     chunk_index, row = divmod(path_index, CHUNK)

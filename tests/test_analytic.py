@@ -25,7 +25,14 @@ from bridgebound.analytic import (
     vanilla_call,
 )
 from bridgebound.estimators import price
-from bridgebound.model import MarketModel, OptionSpec, Regime, config_path, load_config
+from bridgebound.model import (
+    MarketModel,
+    ModelError,
+    OptionSpec,
+    Regime,
+    config_path,
+    load_config,
+)
 
 
 def pde_down_and_out(spot, strike, h, sigma, r, t, nx=1200, nt=800):
@@ -88,6 +95,20 @@ class TestBsParams:
             BsParams(100.0, 100.0, 0.0, 0.05, 1.0)
         with pytest.raises(ValueError, match="maturity"):
             BsParams(100.0, 100.0, 0.2, 0.05, 0.0)
+
+    @pytest.mark.parametrize("field", ["spot", "strike", "sigma", "rate", "maturity", "barrier"])
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(math.nan, "must be finite", id="nan"),
+        pytest.param(math.inf, "must be finite", id="inf"),
+        pytest.param(True, "must be a real number, got True", id="bool"),
+        pytest.param("1", "must be a real number, got '1'", id="string"),
+    ])
+    def test_rejects_non_finite_or_non_real_inputs(self, field, bad, message):
+        """NaN used to pass and make every closed form return nan."""
+        values = {"spot": 100.0, "strike": 100.0, "sigma": 0.3, "rate": 0.1, "maturity": 1.0,
+                  "barrier": 90.0, field: bad}
+        with pytest.raises(ModelError, match=f"^{field} {message}"):
+            BsParams(**values)
 
     def test_rejects_barrier_at_or_above_spot(self):
         with pytest.raises(ValueError, match="barrier"):

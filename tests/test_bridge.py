@@ -127,7 +127,7 @@ class TestIntervalContextValidation:
         with pytest.raises(ModelError, match=field):
             IntervalContext(regime=self.REGIME, dt=0.5, **ends)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.25, True, "1", None])
     def test_non_positive_or_non_finite_dt_refused(self, bad):
         with pytest.raises(ModelError, match="dt"):
             IntervalContext(s0=[100.0], s1=[100.0], regime=self.REGIME, dt=bad)
@@ -355,6 +355,23 @@ class TestOracleNoHit:
             oracle_no_hit(ctx, substeps=50, trials=20_000)
         with pytest.raises(ValueError, match="trials"):
             oracle_no_hit(ctx, substeps=400, trials=100)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"substeps": 150.5}, "substeps must be an integer, got 150.5",
+                     id="fractional-substeps"),
+        pytest.param({"substeps": "200"}, "substeps must be an integer, got '200'",
+                     id="string-substeps"),
+        pytest.param({"trials": 10_000.0}, "trials must be an integer, got 10000.0",
+                     id="float-trials"),
+        pytest.param({"seed": 1.5}, "seed must be an integer, got 1.5", id="float-seed"),
+        pytest.param({"seed": -1}, r"seed must be in \[0, 2\*\*64\), got -1",
+                     id="negative-seed"),
+        pytest.param({"seed": True}, "seed must be an integer, got True", id="bool-seed"),
+    ])
+    def test_run_arguments_refused(self, kwargs, message):
+        """Refused with the field named, never a TypeError or numpy's unnamed message."""
+        with pytest.raises(ModelError, match=message):
+            oracle_no_hit(one_asset_ctx(), **{"substeps": 200, "trials": 10_000, **kwargs})
 
     def test_no_active_barriers(self):
         regime = Regime(mu=[0.1], sigma=[0.3])

@@ -114,9 +114,16 @@ class TestPrice:
         ({"grid": {"maturity": 0.5, "steps": 16.7}}, "steps"),
         ({"grid": {"maturity": 0.5, "steps": True}}, "steps"),
         ({"regimes": {"sigma": [0.3], "lower": [90.0]}}, "regimes"),
+        ({"regimes": [{"sigma": {}}]}, "sigma"),
+        ({"spot": "abc"}, "spot"),
+        ({"spot": [True], "regimes": [{"sigma": [0.3]}]}, "spot"),
+        ({"regimes": [{"sigma": [0.3], "lower": [True]}]}, "lower"),
+        ({"regimes": [{"sigma": [0.3], "lower": ["90"]}]}, "lower"),
+        ({"option": {"strike": 100.0, "asset": True}}, "asset"),
     ], ids=["no-maturity", "no-steps", "dates-and-steps", "scalar-barrier", "list-rate",
             "null-assets", "list-strike", "null-rebate", "fractional-asset", "list-maturity",
-            "fractional-steps", "bool-steps", "regimes-object"])
+            "fractional-steps", "bool-steps", "regimes-object", "object-sigma", "string-spot",
+            "bool-spot", "bool-lower", "string-lower", "bool-asset"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, change, key):
         """A malformed config ends with an error naming the key, not a traceback."""
         from bridgebound.model import config_path

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -100,6 +101,9 @@ class TestPriceArguments:
               ("float-seed", {"seed": 1.5}, "seed must be an integer"),
               ("float-asset", {"spec": OptionSpec(strike=100.0, asset=0.5)},
                "option asset index must be an integer, got 0.5"),
+              ("bool-seed", {"seed": True}, "seed must be an integer, got True"),
+              ("bool-asset", {"spec": OptionSpec(strike=100.0, asset=True)},
+               "option asset index must be an integer, got True"),
           ]
           for name, entry in [("price", price), ("contributions", path_contributions)]),
         # Run arguments of price alone.
@@ -109,6 +113,8 @@ class TestPriceArguments:
               ("string-workers", {"workers": "2"}, "workers must be an integer, got '2'"),
               ("string-alpha", {"alpha": "0.1"}, "alpha must be a real number, got '0.1'"),
               ("null-alpha", {"alpha": None}, "alpha must be a real number, got None"),
+              ("bool-workers", {"workers": True}, "workers must be an integer, got True"),
+              ("bool-alpha", {"alpha": True}, "alpha must be a real number, got True"),
           ]),
     ])
     def test_run_arguments_refused(self, entry, kwargs, message):
@@ -253,6 +259,9 @@ class TestPricingReport:
         assert set(payload["estimators"]) == {"q_s", "q_lower", "q_indep", "q_upper", "q_exact"}
         assert set(payload["point_estimates"]) == {"q0", "q1", "q2"}
         assert len(payload["ci"]) == 2
+        # numpy run arguments are read as plain ints, so the report is JSON.
+        numpy_args = price(model, spec, np.int64(2000), seed=np.int64(5)).to_dict()
+        assert json.loads(json.dumps(numpy_args)) == payload
 
     def test_same_seed_same_report(self):
         model, spec = load_config("table1b", steps=2)

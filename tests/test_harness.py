@@ -21,7 +21,7 @@ from bridgebound.harness import (
     reproduce_table,
     run_sweep,
 )
-from bridgebound.model import load_config
+from bridgebound.model import ModelError, load_config
 
 
 def write_csv(path, rows):
@@ -52,10 +52,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=">= 1"):
             SweepSpec(config="table2", m_values=(0, 1), n_paths=100)
 
-    @pytest.mark.parametrize("bad", [2.5, math.nan], ids=["fraction", "nan"])
+    @pytest.mark.parametrize(
+        "bad", [2.5, math.nan, True, "2"], ids=["fraction", "nan", "bool", "string"]
+    )
     def test_m_values_integral(self, bad):
-        """A fractional M is refused, not truncated to an integer."""
-        with pytest.raises(ValueError, match="m_values must be integers"):
+        """A fractional M is refused, not truncated to an integer, and a bool or string is no M."""
+        with pytest.raises(ValueError, match=f"m_values must be an integer, got {bad!r}"):
             SweepSpec(config="table2", m_values=(1, bad), n_paths=100)
 
     def test_integral_floats_accepted(self):
@@ -70,6 +72,8 @@ class TestSweepSpec:
         pytest.param({"n_paths": 1e5}, "n_paths must be an integer", id="float-paths"),
         pytest.param({"seed": 1.5}, "seed must be an integer", id="float-seed"),
         pytest.param({"seed": -1}, r"seed must be in \[0, 2\*\*64\)", id="negative-seed"),
+        pytest.param({"seed": True}, "seed must be an integer, got True", id="bool-seed"),
+        pytest.param({"n_paths": True}, "n_paths must be an integer, got True", id="bool-paths"),
     ])
     def test_run_arguments_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -291,6 +295,20 @@ class TestGoldenChecks:
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="table_id"):
             reproduce_table(9)
+
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(True, "table_id must be an integer, got True", id="bool"),
+        pytest.param(1.0, "table_id must be an integer, got 1.0", id="float"),
+        pytest.param(0, r"table_id must be in \[1, 5\), got 0", id="zero"),
+    ])
+    def test_table_id_refused_before_any_run(self, bad, message):
+        """True and 1.0 used to run table 1."""
+        with pytest.raises(ModelError, match=message):
+            reproduce_table(bad)
+
+    def test_sweep_workers_refused(self):
+        with pytest.raises(ModelError, match="workers must be an integer, got True"):
+            run_sweep(SweepSpec(config="table1a", m_values=(1,), n_paths=100), workers=True)
 
     def test_double_barrier_table_reproduces_at_reduced_paths(self):
         """Smaller N widens the z-window through its own standard errors."""

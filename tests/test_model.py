@@ -57,6 +57,17 @@ class TestTimeGrid:
         with pytest.raises(ModelError, match="steps"):
             TimeGrid.uniform(1.0, 0)
 
+    @pytest.mark.parametrize("maturity, steps, message", [
+        pytest.param(1.0, True, "steps must be an integer, got True", id="bool-steps"),
+        pytest.param(1.0, 2.5, "steps must be an integer, got 2.5", id="fractional-steps"),
+        pytest.param(1.0, 2.0, "steps must be an integer, got 2.0", id="integral-float-steps"),
+        pytest.param("1", 2, "maturity must be a real number, got '1'", id="string-maturity"),
+    ])
+    def test_uniform_refuses_wrong_types(self, maturity, steps, message):
+        """A bool is never a count, and a Python run argument 2.0 is not an integer."""
+        with pytest.raises(ModelError, match=re.escape(message)):
+            TimeGrid.uniform(maturity, steps)
+
     def test_explicit_dates(self):
         grid = TimeGrid([0.0, 0.25, 1.0])
         assert grid.n_steps == 2
@@ -321,6 +332,11 @@ class TestValidate:
                 "regime 0: correlation entries must lie in [-1, 1]",
                 id="corr-range",
             ),
+            pytest.param(
+                MarketModel(spot=[100.0], rate=None, grid=TimeGrid.uniform(1.0, 1), regimes=FREE),
+                "rate must be a real number, got None",
+                id="null-rate",
+            ),
         ],
     )
     def test_refusal_named(self, model, message):
@@ -364,6 +380,19 @@ class TestValidate:
         """A field of the wrong rank is reported by name, not raised on later."""
         report = validate(model, OptionSpec(strike=100.0))
         assert message in report.violations
+
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param(OptionSpec(strike=100.0, asset=True),
+                     "option asset index must be an integer, got True", id="bool-asset"),
+        pytest.param(OptionSpec(strike=None), "strike must be a real number, got None",
+                     id="null-strike"),
+        pytest.param(OptionSpec(strike=100.0, rebate="1"), "rebate must be a real number, got '1'",
+                     id="string-rebate"),
+    ])
+    def test_option_field_of_wrong_type_named(self, spec, message):
+        """Reported by name, never raised as a TypeError or taken as a number."""
+        model, _ = load_config("table3_rho0")
+        assert message in validate(model, spec).violations
 
     def test_custom_kind_needs_hook(self):
         model = one_asset_model()
@@ -527,6 +556,24 @@ class TestLoadConfig:
                      "steps must be an integer, got '16'", id="string-steps"),
         pytest.param({"regimes": {"sigma": [0.3, 0.3]}}, "regimes must be a non-empty list",
                      id="regimes-object"),
+        pytest.param({"option": {"strike": 100.0, "asset": True}},
+                     "asset must be an integer, got True", id="bool-asset"),
+        # Array elements are read one by one, with the key named.
+        pytest.param({"spot": "abc"}, "spot must be a real number, got 'abc'", id="string-spot"),
+        pytest.param({"spot": [100, True]}, "spot must be a real number, got True",
+                     id="bool-spot"),
+        pytest.param({"grid": {"dates": [0.0, "1"]}}, "dates must be a real number, got '1'",
+                     id="string-date"),
+        pytest.param({"regimes": [{"sigma": {}}]}, "sigma must be a real number, got {}",
+                     id="object-sigma"),
+        pytest.param({"regimes": [{"sigma": [0.3, 0.3], "mu": [0.1, None]}]},
+                     "mu must be a real number, got None", id="null-mu"),
+        pytest.param({"regimes": [{"sigma": [0.3, 0.3], "corr": [[1, 0], [0, True]]}]},
+                     "corr must be a real number, got True", id="bool-corr"),
+        pytest.param({"regimes": [{"sigma": [0.3, 0.3], "lower": [None, True]}]},
+                     "lower must be a real number, got True", id="bool-lower"),
+        pytest.param({"regimes": [{"sigma": [0.3, 0.3], "upper": ["90", None]}]},
+                     "upper must be a real number, got '90'", id="string-upper"),
     ])
     def test_scalar_refused_by_key(self, change, message):
         """A scalar of the wrong type, or a fractional count, is refused with its key named."""

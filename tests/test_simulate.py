@@ -188,6 +188,8 @@ class TestRunArguments:
         pytest.param({"seed": 1.5}, "seed must be an integer", id="float-seed"),
         pytest.param({"seed": -1}, r"seed must be in \[0, 2\*\*64\)", id="negative-seed"),
         pytest.param({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\)", id="large-seed"),
+        pytest.param({"seed": True}, "seed must be an integer, got True", id="bool-seed"),
+        pytest.param({"n_paths": True}, "n_paths must be an integer, got True", id="bool-paths"),
     ])
     def test_path_batches_refuses(self, kwargs, message):
         model, _ = load_config("table1a")
@@ -197,6 +199,9 @@ class TestRunArguments:
     @pytest.mark.parametrize("kwargs, message", [
         pytest.param({"path_index": 0.0}, "path_index must be an integer", id="float-index"),
         pytest.param({"seed": 2.0}, "seed must be an integer", id="float-seed"),
+        pytest.param({"seed": True}, "seed must be an integer, got True", id="bool-seed"),
+        pytest.param({"path_index": True}, "path_index must be an integer, got True",
+                     id="bool-index"),
     ])
     def test_simulate_path_refuses(self, kwargs, message):
         model, _ = load_config("table1a")
@@ -419,7 +424,7 @@ class TestDeadRowsDropped:
         assert _walk_history(model, 50) == [(50, 0)]
         _assert_compact_batch_is_full_walk(model, 50)
 
-    @pytest.mark.parametrize("row", [0, 1, 3])
+    @pytest.mark.parametrize("row", [0, 1, 2, 3, 4])
     def test_lone_alive_row_is_walked_as_in_full_chunk(self, row):
         """A gathered lone row, walked alone, gets the full chunk's prices."""
         model, _ = load_config("table4_d10", steps=4)
