@@ -480,7 +480,7 @@ def load_config(
             raise ModelError(f"config is missing required key {key!r}")
 
     d = _read_count("assets", cfg["assets"], 1)
-    spot = np.asarray(_reals("spot", cfg["spot"]))
+    spot = _reals("spot", cfg["spot"])
     if spot.shape != (d,):
         raise ModelError(f"spot must have {d} entries")
     rate = read_real("rate", cfg["rate"])
@@ -546,11 +546,20 @@ def _read_count(key: str, value, least: int) -> int:
     return read_int(key, value, least)
 
 
-def _reals(key: str, values):
-    """The config array under ``key``, nested lists kept, each number read by :func:`read_real`."""
-    if isinstance(values, (list, tuple)):
-        return [_reals(key, v) for v in values]
-    return read_real(key, values)
+def _reals(key: str, values) -> np.ndarray:
+    """The config array under ``key``, each number read by :func:`read_real`.
+
+    A ragged array is refused with the key named.
+    """
+
+    def read(v):
+        return [read(x) for x in v] if isinstance(v, (list, tuple)) else read_real(key, v)
+
+    nested = read(values)
+    try:
+        return np.array(nested, dtype=float)
+    except ValueError:
+        raise ModelError(f"{key} must be a rectangular array, got {values!r}") from None
 
 
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:

@@ -1,27 +1,31 @@
-"""Correlated GBM path generation with reproducible counter-based streams.
+"""Correlated GBM path generation with reproducible keyed streams.
 
-Paths are simulated in fixed chunks of :data:`CHUNK` paths.  Each chunk owns
-a counter-based random stream (Philox) keyed by ``seed * 2**64 + chunk``,
-and draws inside a chunk are consumed step-major: each step owns the next
-(CHUNK, d) block of uniforms, one uniform per normal.  A chunk draws only
-the leading rows of that block that it walks and then advances the counter
-past the rest, so the draw behind path i never depends on the total path
-count.  It maps the walked rows through the normal inverse CDF, correlates
-them with the regime's factor and advances them.  A knock-out price needs
-nothing from a row once it touches a barrier, so its walk drops dead rows:
-when fewer than half of the walked rows are alive it gathers the alive
-ones, and from then on draws up to the last of them and keeps only theirs.
-A walk carries exactly the rows it prices, with no spare row; a lone row
-is doubled in the correlation product only (see ``_walk``).
-Together these make every output a pure function of
-(seed, n_paths, model) no matter how chunks are scheduled across workers.
+Paths are simulated in fixed chunks of :data:`CHUNK` paths.  The random
+stream is stream 2: step ``s`` of chunk ``c`` draws from its own generator,
+``Generator(SFC64(SeedSequence(seed, spawn_key=(c, s))))``, whose
+``standard_normal`` gives ziggurat normals (Marsaglia & Tsang 2000).  A
+step fills a (rows, d) block row-major, where ``rows`` is its last walked
+row + 1, and keeps the walked rows.  So the normals behind row j depend
+only on rows up to j: never on the total path count, and never on which
+rows are alive.  The step correlates them with the regime's factor and
+advances them.  A knock-out price needs nothing from a row once it touches
+a barrier, so its walk drops dead rows: when fewer than half of the walked
+rows are alive it gathers the alive ones, and from then on draws up to the
+last of them and keeps only theirs.  A walk carries exactly the rows it
+prices, with no spare row; a lone row is doubled in the correlation
+product only (see ``_walk``).  Together these make every output a pure
+function of (seed, n_paths, model) no matter how chunks are scheduled
+across workers.  NumPy keeps the ``SeedSequence`` and ``SFC64`` streams
+fixed across releases, but its compatibility policy lets a feature release
+change what a ``Generator`` method such as ``standard_normal`` makes of
+them, with a note in the release notes: the same seed then gives new bits.
 
-The draws stay row-major, (rows, d) in stream order, through the inverse
-CDF and the correlation product.  The walk then keeps prices asset-major,
-as (d, rows) arrays, because the hit probabilities and the alive checks
-work one asset at a time: each reads one contiguous row.  Every element
-goes through a row-major walk's operations in the same order, so the
-layout changes no bit.
+The draws stay row-major, (rows, d) in stream order, through the
+correlation product.  The walk then keeps prices asset-major, as (d, rows)
+arrays, because the hit probabilities and the alive checks work one asset
+at a time: each reads one contiguous row.  Every element goes through a
+row-major walk's operations in the same order, so the layout changes no
+bit.
 
 Prices evolve in log space; exponentials happen only where prices are
 reported.  A sampled value exactly on a barrier counts as a hit.  Each
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bridge import _clear_touched, _Event, _events, _no_hit
 from .model import MarketModel, factor_correlation, read_int, validate
@@ -52,13 +55,9 @@ __all__ = [
     "path_batches",
 ]
 
-# Paths per random stream.  Part of the reproducibility contract: changing it
+# Paths per chunk.  Part of the reproducibility contract: changing it
 # changes which draw lands on which path.
 CHUNK = 32768
-
-# Generator.random can return exactly 0.0, where the inverse CDF diverges;
-# half an ulp below the smallest positive draw is statistically invisible.
-_U_FLOOR = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -96,28 +95,15 @@ class PathBatch:
     w_upper: np.ndarray
 
 
-def _stream(seed: int, chunk_index: int) -> np.random.Generator:
-    """The counter-based generator owning the draws of one chunk."""
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk_index))
+def _normals(seed: int, chunk_index: int, step: int, d: int, index: np.ndarray) -> np.ndarray:
+    """Stream 2's normals for the chunk rows ``index`` (increasing) at one step.
 
-
-def _normal_block(gen: np.random.Generator, d: int, index: np.ndarray) -> np.ndarray:
-    """Normals for the chunk rows ``index`` (increasing) from the step's (CHUNK, d) block.
-
-    Draws the block's rows up to the last of ``index`` and advances the
-    counter past the rest, so the next step starts at the next block.
+    The step's own generator fills a (rows, d) block row-major, up to the
+    last of ``index``, and the block keeps the rows of ``index``.
     """
-    rows = int(index[-1]) + 1
-    # One Philox4x64 counter step yields four doubles, so draw whole steps;
-    # CHUNK makes the whole block whole steps too.
-    n = -(-rows * d // 4) * 4
-    u = gen.random(n)[: rows * d].reshape(rows, d)
-    if n < CHUNK * d:
-        gen.bit_generator.advance((CHUNK * d - n) // 4)
-    if len(index) < rows:
-        u = u[index]
-    np.fmax(u, _U_FLOOR, out=u)
-    return ndtri(u, out=u)
+    key = np.random.SeedSequence(seed, spawn_key=(chunk_index, step))
+    z = np.random.Generator(np.random.SFC64(key)).standard_normal((int(index[-1]) + 1, d))
+    return z if len(index) == len(z) else z[index]
 
 
 class _Rows:
@@ -199,12 +185,11 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
     many-row product; from two rows on, any subset of rows agrees with the
     full product.  So a walk of one row multiplies it twice and keeps one.
     """
-    gen = _stream(seed, chunk_index)
     d, rows = plan.d, len(state.index)
     x0 = np.repeat(plan.log_spot[:, None], rows, axis=1)
     x1 = np.empty_like(x0)
     zt = np.empty_like(x0)
-    for kernel in plan.steps:
+    for step, kernel in enumerate(plan.steps):
         if compact:
             live = np.count_nonzero(state.alive)
             if not live:
@@ -221,8 +206,7 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
                     _front(x0, d, rows),
                 )
                 zt = _front(zt, d, rows)
-        # ndtri maps in place, faster than into a transposed output.
-        z = _normal_block(gen, d, state.index)
+        z = _normals(seed, chunk_index, step, d, state.index)
         if kernel.factor is None:
             np.copyto(zt.T, z)
         elif rows == 1:

@@ -530,6 +530,28 @@ class TestLoadConfig:
                 "lower must be a list of numbers or nulls, got 90",
                 id="scalar-barrier",
             ),
+            # A ragged array is refused with its key named, not left to
+            # numpy's unnamed ValueError.
+            pytest.param(
+                dict(BASE_CONFIG, regimes=[{"sigma": [0.3, 0.3], "corr": [[1, 0], [0]]}]),
+                "corr must be a rectangular array, got [[1, 0], [0]]",
+                id="ragged-corr",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, regimes=[{"sigma": [0.3, [0.3]]}]),
+                "sigma must be a rectangular array, got [0.3, [0.3]]",
+                id="ragged-sigma",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, regimes=[{"sigma": [0.3, 0.3], "mu": [[0.1], 0.1]}]),
+                "mu must be a rectangular array, got [[0.1], 0.1]",
+                id="ragged-mu",
+            ),
+            pytest.param(
+                dict(BASE_CONFIG, spot=[100.0, [100.0, 90.0]]),
+                "spot must be a rectangular array, got [100.0, [100.0, 90.0]]",
+                id="ragged-spot",
+            ),
         ],
     )
     def test_refusal_named(self, cfg, message):

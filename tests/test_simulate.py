@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 from bridgebound.bridge import IntervalContext, _combine, _xi_inside, interval_weights
 from bridgebound.estimators import path_contributions, price
@@ -386,7 +385,7 @@ def _walk_history(model, rows, seed=7):
 
 def _box_model(steps=16):
     """Three correlated assets between barriers at 97 and 103: most rows die
-    at the first date, and at seed 7 a 1000-row chunk keeps 60, then one."""
+    at the first date, and at seed 7 a 1000-row chunk keeps 33, then one."""
     corr = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
     regime = Regime(mu=[0.1] * 3, sigma=[0.3] * 3, corr=corr,
                     lower=[97.0] * 3, upper=[103.0] * 3)
@@ -416,7 +415,7 @@ class TestDeadRowsDropped:
     def test_every_row_dies_and_the_walk_stops(self):
         """Keeping one alive row walks that row alone; no alive row ends the walk."""
         model = _box_model()
-        assert _walk_history(model, 1000) == [(1000, 60), (60, 1), (1, 0)]
+        assert _walk_history(model, 1000) == [(1000, 33), (33, 1), (1, 0)]
         _assert_compact_batch_is_full_walk(model, 1000)
 
     def test_spot_on_barrier_ends_walk_after_first_step(self):
@@ -483,22 +482,21 @@ class TestDeadRowsDropped:
 def _row_major_walk(cfg: str, chunk: int, walked: int, seed: int = 7):
     """One chunk's first ``walked`` rows, walked row-major, written out step by step.
 
-    Each step draws its whole (CHUNK, d) Philox block, maps the walked rows
-    through ndtri, correlates them as (rows, d) @ F.T and advances every
-    row as x1 = (x0 + drift) + z * vol.  Returns the (walked, d) log
-    prices at every date, the alive flags and the three weights, with the
-    dead rows' weights +0.0.
+    Each step draws its whole (CHUNK, d) block of stream 2 normals from the
+    step's own SFC64 generator, keeps the walked rows, correlates them as
+    (rows, d) @ F.T and advances every row as x1 = (x0 + drift) + z * vol.
+    Returns the (walked, d) log prices at every date, the alive flags and
+    the three weights, with the dead rows' weights +0.0.
     """
     model, _ = load_config(cfg, steps=3)
     plan = _plan(model)
-    gen = np.random.Generator(np.random.Philox(key=(seed << 64) + chunk))
     xs = [np.broadcast_to(np.log(model.spot), (walked, model.d)).copy()]
     alive = np.ones(walked, dtype=bool)
     weights = [np.ones(walked) for _ in range(3)]
     for m, kernel in enumerate(plan.steps):
         regime, dt = model.regimes[m], model.grid.dt(m)
-        u = gen.random((CHUNK, model.d))[:walked]
-        z = ndtri(np.fmax(u, 2.0**-54))
+        key = np.random.SeedSequence(seed, spawn_key=(chunk, m))
+        z = np.random.Generator(np.random.SFC64(key)).standard_normal((CHUNK, model.d))[:walked]
         if kernel.factor is not None:
             z = z @ kernel.factor.T
         x0 = xs[-1]
@@ -551,6 +549,66 @@ class TestRowMajorReference:
             want = np.exp(np.array([x[row] for x in xs[1:]]))
             assert state.values[1:].tobytes() == want.tobytes(), row
             assert state.alive_discrete == bool(alive[row])
+
+
+def _standard_increments(model, chunk, rows, seed):
+    """Each step's standardized log returns for one chunk's first ``rows`` paths,
+    as a (steps, d, rows) array: the normals that drove them, correlated."""
+    steps = []
+    for kernel, x0, x1 in _walk(_plan(model), seed, chunk, _Rows(rows)):
+        steps.append((x1 - x0 - kernel.drift) / kernel.vol)
+    return np.array(steps)
+
+
+class TestStream2:
+    """Stream 2's contract: each (chunk, step) draws from its own keyed
+    generator, and a row's normals sit at fixed positions in it."""
+
+    def test_barrier_bump_keeps_every_terminal(self):
+        """Common random numbers: moving a barrier moves which paths die, but
+        no full-walk terminal price by a bit, and a knock-out walk, which
+        drops the dead rows, keeps the alive rows' prices too."""
+        base, _ = load_config("table4_d3", steps=8)
+        r = base.regimes[0]
+        bumped = MarketModel(
+            spot=base.spot, rate=base.rate, grid=base.grid,
+            regimes=Regime(mu=r.mu, sigma=r.sigma, corr=r.corr, lower=[90.0, 85.0, 80.0]),
+        )
+        n = CHUNK + 100
+        plan, bumped_plan = _plan(base), _plan(bumped)
+        for chunk in range(_n_chunks(n)):
+            full = _compute_batch(plan, 21, chunk, n)
+            moved = _compute_batch(bumped_plan, 21, chunk, n)
+            assert moved.terminal.tobytes() == full.terminal.tobytes(), chunk
+            assert moved.alive.tobytes() != full.alive.tobytes(), chunk
+            compact = _compute_batch(bumped_plan, 21, chunk, n, compact=True)
+            assert compact.terminal.tobytes() == full.terminal[moved.alive].tobytes(), chunk
+
+    def test_adjacent_steps_and_chunks_uncorrelated(self):
+        """Sample correlations of the normals of steps s and s+1 of one chunk,
+        and of step s of chunks 0 and 1, are 0 within 4 se."""
+        model = flat_model(d=2, sigma=0.3, rate=0.1, maturity=1.0, steps=4)
+        first = _standard_increments(model, 0, CHUNK, seed=21)
+        second = _standard_increments(model, 1, CHUNK, seed=21)
+        pairs = [(first[s], first[s + 1]) for s in range(3)]
+        pairs += [(first[s], second[s]) for s in range(4)]
+        se = 1.0 / math.sqrt(first[0].size)
+        for k, (a, b) in enumerate(pairs):
+            corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(corr) <= 4.0 * se, (k, corr)
+
+    def test_late_step_is_standard_normal(self):
+        """The standardized log returns of step 64 of 64 look N(0,1): mean, var, skew."""
+        model = flat_model(d=1, sigma=0.3, rate=0.1, maturity=1.0, steps=64)
+        n = 200_000
+        z = np.concatenate([
+            _standard_increments(model, c, min(CHUNK, n - c * CHUNK), seed=21)[-1, 0]
+            for c in range(_n_chunks(n))
+        ])
+        assert abs(z.mean()) <= 4.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
+        skew = float(np.mean(z**3))
+        assert abs(skew) <= 4.0 * math.sqrt(6.0 / n)
 
 
 class TestEngineMatchesIntervalWeights:
