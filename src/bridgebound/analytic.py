@@ -7,7 +7,8 @@ option, applies a closed form where one exists (one asset, or two assets at
 correlation 0 or 1) and otherwise returns a value pinned for that exact
 contract, refusing any contract it cannot price.  The normal CDF is scipy's
 ndtr, exact to double precision, so golden comparisons at three decimals
-are safe.
+are safe; it is imported where it is used, so importing the package does
+not load scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import MarketModel, ModelError, OptionSpec, read_real, validate
 
@@ -63,6 +63,7 @@ def vanilla_call(p: BsParams) -> float:
 
 
 def _bs_call(s: float, k: float, sigma: float, r: float, t: float) -> float:
+    from scipy.special import ndtr
     vol = sigma * math.sqrt(t)
     d1 = (math.log(s / k) + (r + 0.5 * sigma**2) * t) / vol
     d2 = d1 - vol
@@ -92,6 +93,7 @@ def down_and_out_call(p: BsParams) -> float:
 def _restricted_call(s: float, k: float, h: float, sigma: float, r: float, t: float) -> float:
     # E[e^{-rT} (S_T - K)^+ ; S_T > h] for h > K: a call struck at h plus
     # a cash payment of (h - K) in the same region.
+    from scipy.special import ndtr
     vol = sigma * math.sqrt(t)
     d2 = (math.log(s / h) + (r - 0.5 * sigma**2) * t) / vol
     return _bs_call(s, h, sigma, r, t) + (h - k) * math.exp(-r * t) * ndtr(d2)
@@ -103,6 +105,7 @@ def no_hit_probability(p: BsParams) -> float:
     Undiscounted; the down-and-out digital is the discounted version.
     Returns 1 when there is no barrier.
     """
+    from scipy.special import ndtr
     h = p.barrier
     if h is None or h <= 0.0:
         return 1.0

@@ -1,17 +1,17 @@
 """Barrier option estimators built on the path engine.
 
-For a knock-out payoff V with discrete no-hit indicator I and accumulated
-no-hit weight W, the crossing-corrected estimator is V * I * W.  Running it
-with the lower-bound, independence, and upper-bound weights gives a bracket
-[q_lower, q_upper] around the continuously monitored price with q_indep in
-between; V * I alone is the discretely monitored estimator q_s.  Knock-in
-prices come from in-out parity applied path-wise, V * (1 - I * W), which
-swaps the roles of the two bounds.  A cash rebate R paid at maturity when
-the option knocks out blends both legs: V * I * W + R_disc * (1 - I * W).
-Every column is that one expression, A * I * W + D * (1 - I * W), with
-(A, D) = (V, R_disc) for knock-out and (0, V) for knock-in.  Where every
-interval has at most one barrier event the three weights coincide and
-q_exact is their common value.
+Every estimator is the mean of one per-path contribution, D + (A - D) * s:
+a path pays A if it survives and D if it is knocked out, with (A, D) the
+discounted payoff V and the discounted rebate for knock-out, and 0 and V
+for knock-in.  The survival s is the discrete no-hit indicator I for the
+discretely monitored q_s, and I * W for the crossing-corrected estimators,
+with W the accumulated no-hit weight under the lower-bound, independence
+or upper-bound rule.  The expression is monotone in s even after rounding,
+so on each path the smaller and the larger of its values at the two bound
+weights, q_lower and q_upper, bracket q_indep whatever the signs of A and
+D.  q_s bounds q_upper only where A >= D.  Where every interval has at most
+one barrier event the three weights coincide and q_exact is their common
+value.
 
 Per-path contributions are reduced chunk by chunk in a fixed order, so
 results are bit-identical for any worker count.
@@ -20,14 +20,14 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import MarketModel, ModelError, OptionSpec, read_int, read_real, validate
-from .simulate import _compute_batch, _n_chunks, _plan
+from .simulate import _compute_batch, _EnginePlan, _n_chunks, _plan
 
 __all__ = [
     "EstimatorResult",
@@ -69,9 +69,10 @@ class PricingReport:
 
     The fields are what the run measured.  ``q_s`` is the discretely
     monitored estimator; q_lower / q_indep / q_upper bracket the
-    continuously monitored price; ``q_exact`` is set only when at most one
-    barrier event is active per interval, where the crossing probability
-    needs no bound.
+    continuously monitored price, path by path; ``q_s`` bounds them from
+    above only where a path pays at least as much alive as knocked out.
+    ``q_exact`` is set only when at most one barrier event is active per
+    interval, where the crossing probability needs no bound.
 
     q0 / q1 / q2 and ``ci`` are derived from those columns on each read.
     q0 / q1 / q2 are the :class:`PointEstimate` midpoints of (lower, upper),
@@ -104,7 +105,7 @@ class PricingReport:
 
     @property
     def ci(self) -> tuple[float, float]:
-        z = ndtri(1.0 - self.alpha / 2.0)
+        z = statistics.NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
         return (
             self.q_lower.mean - z * self.q_lower.std_error,
             self.q_upper.mean + z * self.q_upper.std_error,
@@ -146,6 +147,34 @@ def _midpoint(lo: EstimatorResult, hi: EstimatorResult) -> PointEstimate:
     return PointEstimate(value=value, std_error=spread)
 
 
+def _contributions(
+    plan: _EnginePlan, spec: OptionSpec, discount: float, seed: int, n_paths: int, chunk: int
+) -> tuple[np.ndarray, ...]:
+    """One chunk's per-path q_s, q_lower, q_indep and q_upper contributions.
+
+    A knock-out contribution reads nothing of a dead row, so its walk drops
+    them and the payoff sees the alive rows' terminals only; a dead row's
+    payoff is +0.0.  A knock-in walk evaluates the payoff on every row.
+    """
+    knock_out = spec.knock == "out"
+    batch = _compute_batch(plan, seed, chunk, n_paths, compact=knock_out)
+    v = np.zeros(len(batch.alive))
+    if len(batch.terminal):
+        v[batch.alive if knock_out else ...] = discount * spec.terminal_payoff(batch.terminal)
+    # What a path pays if it survives and if it does not.
+    alive_pay, dead_pay = (v, spec.rebate * discount) if knock_out else (0.0, v)
+    gain = alive_pay - dead_pay
+    # Survival per path for q_s, then I * W under each rule; the engine's
+    # weights already carry I as +0.0 on dead rows.
+    q_s, at_lower, q_indep, at_upper = (
+        dead_pay + gain * surv
+        for surv in (batch.alive.astype(float), batch.w_lower, batch.w_indep, batch.w_upper)
+    )
+    # Monotone in the survival after rounding, so on every path q_indep lies
+    # between the values at the two bound weights, whichever sign A - D has.
+    return q_s, np.minimum(at_lower, at_upper), q_indep, np.maximum(at_lower, at_upper)
+
+
 def price(
     model: MarketModel,
     spec: OptionSpec,
@@ -183,26 +212,12 @@ def price(
     if not 0.0 < alpha < 1.0:
         raise ModelError(f"alpha must be in (0, 1), got {alpha}")
     validate(model, spec).raise_if_invalid()
-    knock_out = spec.knock == "out"
     plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)
 
     def partials(chunk_index: int) -> list[tuple[int, float, float, float]]:
-        # A knock-out contribution reads nothing of a dead row, so its walk
-        # drops them and the payoff sees the alive rows' terminals only; a
-        # dead row's v is +0.0.  A knock-in walk returns every row's terminal.
-        batch = _compute_batch(plan, seed, chunk_index, n_paths, compact=knock_out)
-        v = np.zeros(len(batch.alive))
-        if len(batch.terminal):
-            v[batch.alive if knock_out else ...] = discount * spec.terminal_payoff(batch.terminal)
-        # What a path pays if it survives and if it does not.
-        alive_pay, dead_pay = (v, spec.rebate * discount) if knock_out else (0.0, v)
         sums = []
-        # Survival I * W per path for q_s, q_lower, q_indep, q_upper; the
-        # engine's weights already carry I as +0.0 on dead rows, and every
-        # column is added at full length, in row order.
-        for surv in (batch.alive.astype(float), batch.w_lower, batch.w_indep, batch.w_upper):
-            c = alive_pay * surv + dead_pay * (1.0 - surv)
+        for c in _contributions(plan, spec, discount, seed, n_paths, chunk_index):
             # The chunk's count, sum, mean and sum of squared deviations
             # from that mean: two-pass, so nothing cancels against a large
             # mean.  The mean is refined by its residual, which makes it
@@ -240,17 +255,10 @@ def price(
         mean = total / n_paths
         se = math.sqrt(m2 / (n_paths - 1) / n_paths)
         columns.append(EstimatorResult(mean=mean, std_error=se))
-    q_s, q_lower, q_indep, q_upper = columns
-    if not knock_out:
-        # The lower no-hit bound yields the upper knock-in price and vice versa.
-        q_lower, q_upper = q_upper, q_lower
     return PricingReport(
-        q_s=q_s,
-        q_lower=q_lower,
-        q_indep=q_indep,
-        q_upper=q_upper,
+        *columns,
         # With one event per interval the three weights are equal bit for bit.
-        q_exact=q_upper if plan.exact else None,
+        q_exact=columns[-1] if plan.exact else None,
         alpha=alpha,
         n_paths=n_paths,
         seed=seed,
@@ -263,29 +271,21 @@ def path_contributions(
     n_paths: int,
     seed: int = 0,
 ) -> dict[str, np.ndarray]:
-    """Per-path diagnostics: discounted payoff, indicator, and weights.
+    """Per-path contributions: arrays of length ``n_paths`` whose means ``price`` reports.
 
-    Returns arrays of length ``n_paths`` keyed by ``payoff``, ``alive``,
-    ``w_lower``, ``w_indep``, ``w_upper``, and ``w_exact`` when available.
-    Intended for inspection and tests, not for pricing at scale.
+    Keyed by ``q_s``, ``q_lower``, ``q_indep``, ``q_upper``, and ``q_exact``
+    when every interval has at most one barrier event.  Walked as ``price``
+    walks, so a knock-out's payoff hook sees the paths alive at maturity
+    only; ``path_batches`` gives the engine's raw indicator and weights.
     """
     n_paths = read_int("n_paths", n_paths, 1)
     seed = read_int("seed", seed, 0, 2**64)
     validate(model, spec).raise_if_invalid()
     plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)
-    parts: dict[str, list[np.ndarray]] = {}
-    for chunk_index in range(_n_chunks(n_paths)):
-        batch = _compute_batch(plan, seed, chunk_index, n_paths)
-        cols = {
-            "payoff": discount * spec.terminal_payoff(batch.terminal),
-            "alive": batch.alive,
-            "w_lower": batch.w_lower,
-            "w_indep": batch.w_indep,
-            "w_upper": batch.w_upper,
-        }
-        if plan.exact:
-            cols["w_exact"] = batch.w_upper
-        for name, arr in cols.items():
-            parts.setdefault(name, []).append(arr)
-    return {name: np.concatenate(arrs) for name, arrs in parts.items()}
+    columns = zip(*(_contributions(plan, spec, discount, seed, n_paths, c)
+                    for c in range(_n_chunks(n_paths))))
+    cols = {name: np.concatenate(col) for name, col in zip(ESTIMATOR_NAMES[:4], columns)}
+    if plan.exact:
+        cols["q_exact"] = cols["q_upper"]
+    return cols

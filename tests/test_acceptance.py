@@ -25,7 +25,7 @@ from bridgebound.bridge import (
 )
 from bridgebound.estimators import path_contributions, price
 from bridgebound.harness import SweepSpec, fit_convergence, run_sweep
-from bridgebound.model import MarketModel, OptionSpec, Regime, TimeGrid, load_config
+from bridgebound.model import Regime, load_config
 
 SEED = 1
 Z_LIMIT = 3.0
@@ -262,13 +262,8 @@ class TestGoldenTables:
                 for m in (1, 8, 64):
                     model, spec = load_config(config, steps=m)
                     c = path_contributions(model, spec, 100_000, seed=SEED)
-                    v = c["payoff"] * c["alive"]
-                    lo = v * c["w_lower"]
-                    mid = v * c["w_indep"]
-                    hi = v * c["w_upper"]
-                    ordered = bool(
-                        np.all(lo <= mid) and np.all(mid <= hi) and np.all(hi <= v)
-                    )
+                    chain = [c[name] for name in ("q_lower", "q_indep", "q_upper", "q_s")]
+                    ordered = all(np.all(a <= b) for a, b in zip(chain, chain[1:]))
                     g.check(ordered, f"{config} path ordering broken at M={m}")
                 fine = reports[64]
                 gap = fine.q_upper.mean - fine.q_lower.mean
@@ -472,25 +467,17 @@ class TestAlgebraicInvariants:
                 ordered = ordered and flo <= ind <= fhi
             g.check(ordered, "bound ordering violated on random hit vectors")
 
-            # in-out parity on shared paths, estimator by estimator; the
-            # knock-in role swap pairs q_upper with q_lower and vice versa
+            # in-out parity on shared paths, estimator by estimator;
+            # knock-out's q_upper and knock-in's q_lower take the same weight
             model, spec = load_config("table1b", steps=4)
             n = 30_000
             ko = price(model, spec, n, seed=SEED)
             ki = price(model, replace(spec, knock="in"), n, seed=SEED)
-            regime = Regime(
-                mu=[0.1, 0.1], sigma=[0.3, 0.3], corr=[[1.0, 0.5], [0.5, 1.0]]
-            )
-            plain_model = MarketModel(
-                spot=[100.0, 100.0],
-                rate=0.1,
-                grid=TimeGrid.uniform(1.0, 4),
-                regimes=(regime,),
-            )
-            plain = price(
-                plain_model, OptionSpec(kind="call", strike=100.0, asset=0), n, seed=SEED
-            )
-            target = plain.q_s.mean
+            # the same model without barriers walks the same paths
+            plain_model = replace(model, regimes=tuple(
+                replace(r, lower=None, upper=None) for r in model.regimes
+            ))
+            target = price(plain_model, spec, n, seed=SEED).q_s.mean
             pairs = (
                 ("q_upper + q_lower", ko.q_upper.mean + ki.q_lower.mean),
                 ("q_lower + q_upper", ko.q_lower.mean + ki.q_upper.mean),
@@ -503,17 +490,10 @@ class TestAlgebraicInvariants:
                     abs(total - target) <= 1e-12,
                     f"in-out parity broken for {name}: residual {total - target:.2e}",
                 )
-            c = path_contributions(model, spec, n, seed=SEED)
-            survive = c["alive"] * c["w_upper"]
-            residual = float(
-                np.max(
-                    np.abs(
-                        c["payoff"] * survive
-                        + c["payoff"] * (1.0 - survive)
-                        - c["payoff"]
-                    )
-                )
-            )
+            ko_paths = path_contributions(model, spec, n, seed=SEED)["q_upper"]
+            ki_paths = path_contributions(model, replace(spec, knock="in"), n, seed=SEED)
+            vanilla = path_contributions(plain_model, spec, n, seed=SEED)["q_s"]
+            residual = float(np.max(np.abs(ko_paths + ki_paths["q_lower"] - vanilla)))
             g.check(residual <= 1e-12, f"path-level parity residual {residual:.2e}")
 
             # the chunked stream makes results independent of the worker count

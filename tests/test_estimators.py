@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 from bridgebound.estimators import (
     EstimatorResult,
@@ -28,7 +28,7 @@ from bridgebound.model import (
     config_path,
     load_config,
 )
-from bridgebound.simulate import CHUNK
+from bridgebound.simulate import CHUNK, path_batches
 
 BUNDLED = sorted(p.stem for p in config_path("table1a").parent.glob("*.json"))
 
@@ -164,32 +164,38 @@ class TestPriceArguments:
             price(model, ki, 100)
 
 
+def alive_count(model, n, seed):
+    """Paths alive at maturity, from the engine's own indicator."""
+    return sum(int(batch.alive.sum()) for batch in path_batches(model, n, seed=seed))
+
+
 class TestPayoffHook:
     @pytest.mark.parametrize(
         "hook, message",
         [
-            (lambda s: np.maximum(s[:, :1] - 100.0, 0.0), r"shape \(1000,\), got \(1000, 1\)"),
-            (lambda s: np.zeros((len(s), 2)), r"shape \(1000,\), got \(1000, 2\)"),
-            (lambda s: np.zeros(3), r"shape \(1000,\), got \(3,\)"),
+            (lambda s: np.maximum(s[:, :1] - 100.0, 0.0), r"shape \({n},\), got \({n}, 1\)"),
+            (lambda s: np.zeros((len(s), 2)), r"shape \({n},\), got \({n}, 2\)"),
+            (lambda s: np.zeros(3), r"shape \({n},\), got \(3,\)"),
             (lambda s: np.full(len(s), np.nan), "non-finite"),
         ],
         ids=["n_by_1", "n_by_2", "three", "nan"],
     )
     def test_bad_hook_output_rejected(self, hook, message):
-        """Used to broadcast into a wrong price, a NaN, or a numpy error."""
+        """Used to broadcast into a wrong price, a NaN, or a numpy error.  A
+        knock-out hook sees the paths alive at maturity, which the message counts."""
         model, _ = load_config("table1a", steps=4)
         spec = OptionSpec(kind="custom", payoff=hook)
         with pytest.raises(ModelError, match="payoff hook"):
             price(model, spec, 1000, seed=1)
-        with pytest.raises(ModelError, match=message):
+        with pytest.raises(ModelError, match=message.format(n=alive_count(model, 1000, seed=1))):
             path_contributions(model, spec, 1000, seed=1)
 
     def test_knock_out_hook_sees_surviving_rows_only(self):
-        """A knock-out price evaluates the hook on the paths alive at maturity;
-        knock-in and path_contributions evaluate it on every path."""
+        """A knock-out price and its path_contributions evaluate the hook on
+        the paths alive at maturity; knock-in evaluates it on every path."""
         model, _ = load_config("table4_d3", steps=4)
         n = CHUNK + 5
-        alive = int(path_contributions(model, OptionSpec(), n, seed=1)["alive"].sum())
+        alive = alive_count(model, n, seed=1)
         seen = []
 
         def hook(s):
@@ -197,9 +203,11 @@ class TestPayoffHook:
             return np.maximum(s[:, 0] - 100.0, 0.0)
 
         for knock, expected in (("out", alive), ("in", n)):
-            seen.clear()
-            price(model, OptionSpec(kind="custom", knock=knock, payoff=hook), n, seed=1)
-            assert sum(seen) == expected, knock
+            spec = OptionSpec(kind="custom", knock=knock, payoff=hook)
+            for entry in (price, path_contributions):
+                seen.clear()
+                entry(model, spec, n, seed=1)
+                assert sum(seen) == expected, (knock, entry.__name__)
 
 
 class TestPricingReport:
@@ -245,7 +253,7 @@ class TestPricingReport:
     def test_ci_matches_confidence_interval(self):
         model, spec = load_config("table2", steps=4)
         report = price(model, spec, 5000, seed=0, alpha=0.1)
-        z = ndtri(1.0 - 0.1 / 2.0)
+        z = statistics.NormalDist().inv_cdf(1.0 - 0.1 / 2.0)
         lo, hi = report.q_lower, report.q_upper
         assert report.ci == (lo.mean - z * lo.std_error, hi.mean + z * hi.std_error)
         assert report.alpha == 0.1
@@ -295,42 +303,27 @@ class TestPricingReport:
 
 
 class TestKnockInParity:
-    def test_knock_out_plus_knock_in_is_vanilla(self):
-        """In-out parity holds estimator by estimator on shared paths."""
-        model, spec = load_config("table1b", steps=4)
-        n = 20_000
-        ko = price(model, spec, n, seed=6)
-        ki = price(model, replace(spec, knock="in"), n, seed=6)
-        vanilla = barrier_free_model(d=2, sigma=0.3, rate=0.1, maturity=1.0, steps=4,
-                                     corr=[[1.0, 0.5], [0.5, 1.0]])
-        plain = price(vanilla, OptionSpec(kind="call", strike=100.0), n, seed=6)
-        target = plain.q_s.mean
-        # the knock-in role swap pairs q_upper with q_lower and vice versa
-        assert ko.q_upper.mean + ki.q_lower.mean == pytest.approx(target, abs=1e-12)
-        assert ko.q_lower.mean + ki.q_upper.mean == pytest.approx(target, abs=1e-12)
-        assert ko.q_indep.mean + ki.q_indep.mean == pytest.approx(target, abs=1e-12)
-        assert ko.q_s.mean + ki.q_s.mean == pytest.approx(target, abs=1e-12)
-
     @pytest.mark.parametrize("config", ["table1b", "table4_d3"])
     def test_path_level_parity_through_contribs(self, config):
         """Knock-out plus knock-in is the payoff on every path, so the two
-        prices sum to the vanilla price, column by column once knock-in's
-        q_lower and q_upper swap.  The barrier-free copy walks the same
-        paths: its per-path payoffs are the barrier model's, so its q_s is
-        the vanilla price on those paths."""
+        prices sum to the vanilla price, knock-out's q_upper with knock-in's
+        q_lower and the other way round.  The barrier-free copy walks the
+        same paths: its terminal prices are the barrier model's, so its q_s
+        is the vanilla price on those paths."""
         model, spec = load_config(config)
         n = CHUNK + 500
         free = replace(
             model, regimes=tuple(replace(r, lower=None, upper=None) for r in model.regimes)
         )
-        payoff = path_contributions(model, spec, n, seed=6)["payoff"]
-        assert np.array_equal(payoff, path_contributions(free, spec, n, seed=6)["payoff"])
+        for barred, plain in zip(path_batches(model, n, seed=6), path_batches(free, n, seed=6)):
+            assert np.array_equal(barred.terminal, plain.terminal)
         ko = price(model, spec, n, seed=6)
         ki = price(model, replace(spec, knock="in"), n, seed=6)
         target = price(free, spec, n, seed=6).q_s.mean
         assert ko.q_upper.mean + ki.q_lower.mean == pytest.approx(target, rel=1e-12)
         assert ko.q_lower.mean + ki.q_upper.mean == pytest.approx(target, rel=1e-12)
         assert ko.q_indep.mean + ki.q_indep.mean == pytest.approx(target, rel=1e-12)
+        assert ko.q_s.mean + ki.q_s.mean == pytest.approx(target, rel=1e-12)
 
     def test_price_dispatches_on_knock_field(self):
         model, spec = load_config("table1a", steps=2)
@@ -367,51 +360,32 @@ class TestKnockInParity:
         assert ki.q_upper.mean == pytest.approx(vanilla.q_s.mean, rel=2e-3)
 
 
-def knock_out_means(model, spec, n, seed):
-    """Knock-out estimator means rebuilt path by path from path_contributions:
-    discounted payoff * alive * w + r_disc * (1 - alive * w)."""
-    cols = path_contributions(model, spec, n, seed=seed)
-    r_disc = spec.rebate * math.exp(-model.rate * model.grid.maturity)
-    alive = cols["alive"].astype(float)
-    weights = {"q_s": 1.0, "q_lower": cols["w_lower"], "q_indep": cols["w_indep"],
-               "q_upper": cols["w_upper"]}
-    if "w_exact" in cols:
-        weights["q_exact"] = cols["w_exact"]
-    return {
-        name: np.mean(cols["payoff"] * alive * w + r_disc * (1.0 - alive * w))
-        for name, w in weights.items()
-    }
-
-
 class TestRebate:
-    def test_zero_rebate_identical_to_plain_price(self):
-        model, spec = load_config("table2", steps=4)
-        with_zero = replace(spec, rebate=0.0)
-        report = price(model, with_zero, 6000, seed=7)
-        for name, mean in knock_out_means(model, with_zero, 6000, seed=7).items():
-            assert report.estimates[name][0] == pytest.approx(mean, rel=1e-12), name
-
     def test_pure_rebate_prices_the_hit_probability(self):
-        """With a zero payoff the contract pays R on knock-out only."""
-        model, spec = load_config("table1a", steps=4)
-        zero_payoff = OptionSpec(kind="custom", payoff=lambda s: np.zeros(len(s)))
-        n = 20_000
-        report = price(model, replace(zero_payoff, rebate=1.0), n, seed=8)
-        cols = path_contributions(model, zero_payoff, n, seed=8)
+        """With a zero payoff the contract pays R on knock-out only: R_disc times
+        a knock-out probability, bounded above through the lower no-hit weight
+        and below through the upper one, which table2's double barrier keeps apart."""
+        model, _ = load_config("table2", steps=4)
+        zero_payoff = OptionSpec(kind="custom", payoff=lambda s: np.zeros(len(s)), rebate=1.0)
+        report = price(model, zero_payoff, 20_000, seed=8)
+        batches = list(path_batches(model, 20_000, seed=8))
         disc = math.exp(-model.rate * model.grid.maturity)
-        alive = cols["alive"].astype(float)
-        assert report.q_s.mean == pytest.approx(disc * np.mean(1.0 - alive), rel=1e-12)
-        assert report.q_upper.mean == pytest.approx(
-            disc * np.mean(1.0 - alive * cols["w_upper"]), rel=1e-12
-        )
+        for name, field in (("q_s", "alive"), ("q_lower", "w_upper"), ("q_indep", "w_indep"),
+                            ("q_upper", "w_lower")):
+            hit = np.concatenate([1.0 - getattr(b, field) for b in batches])
+            assert report.estimates[name][0] == pytest.approx(disc * np.mean(hit), rel=1e-12), name
 
     def test_rebate_override_beats_spec_field(self):
+        """A rebate set at construction or by replace prices the same, and
+        adds R_disc times the discrete knock-out probability to q_s."""
         model, spec = load_config("table1a", steps=2)
         spec_with = OptionSpec(kind=spec.kind, strike=spec.strike, rebate=3.0)
-        for s in (spec_with, replace(spec, rebate=3.0)):
-            report = price(model, s, 4000, seed=2)
-            for name, mean in knock_out_means(model, s, 4000, seed=2).items():
-                assert report.estimates[name][0] == pytest.approx(mean, rel=1e-12), name
+        report = price(model, spec_with, 4000, seed=2)
+        assert price(model, replace(spec, rebate=3.0), 4000, seed=2).to_dict() == report.to_dict()
+        knocked_out = 1.0 - alive_count(model, 4000, seed=2) / 4000
+        r_disc = 3.0 * math.exp(-model.rate * model.grid.maturity)
+        gain = report.q_s.mean - price(model, spec, 4000, seed=2).q_s.mean
+        assert gain == pytest.approx(r_disc * knocked_out, rel=1e-9)
 
     def test_rebate_never_cheapens_the_option(self):
         model, spec = load_config("table2", steps=4)
@@ -420,40 +394,57 @@ class TestRebate:
         assert sweet.q_s.mean >= plain.q_s.mean
         assert sweet.q_upper.mean >= plain.q_upper.mean
 
+    @pytest.mark.parametrize("config", ["table2", "table3_rho0.5"])
+    def test_rebate_above_payoff_keeps_the_bracket(self, config):
+        """A digital with a rebate of 2 pays more knocked out than alive on
+        every path.  Its interval at M=1 used to invert, (1.7885, 1.6308)
+        on table2, and missed the fine-grid price."""
+        model, spec = load_config(config, steps=1)
+        spec = replace(spec, kind="digital", rebate=2.0)
+        lo, hi = price(model, spec, 40_000, seed=3).ci
+        fine_model, _ = load_config(config, steps=256)
+        fine = price(fine_model, spec, 40_000, seed=3).q_indep.mean
+        assert lo <= fine <= hi
+
 
 class TestPathContributions:
     def test_columns_and_lengths(self):
         model, spec = load_config("table1a", steps=2)
         cols = path_contributions(model, spec, 1000, seed=0)
-        assert set(cols) == {"payoff", "alive", "w_lower", "w_indep", "w_upper", "w_exact"}
+        assert set(cols) == {"q_s", "q_lower", "q_indep", "q_upper", "q_exact"}
         assert all(len(v) == 1000 for v in cols.values())
 
-    def test_no_exact_column_for_multi_event_intervals(self):
-        model, spec = load_config("table2", steps=2)
-        cols = path_contributions(model, spec, 1000, seed=0)
-        assert "w_exact" not in cols
-
     def test_consistent_with_report(self):
-        """Recomputing estimator means from the raw columns matches price."""
-        model, spec = load_config("table2", steps=4)
-        n = 40_000
-        report = price(model, spec, n, seed=11)
-        cols = path_contributions(model, spec, n, seed=11)
-        alive = cols["alive"].astype(float)
-        assert np.mean(cols["payoff"] * alive) == pytest.approx(report.q_s.mean, rel=1e-12)
-        for name, est in [
-            ("w_lower", report.q_lower),
-            ("w_indep", report.q_indep),
-            ("w_upper", report.q_upper),
-        ]:
-            mean = np.mean(cols["payoff"] * alive * cols[name])
-            assert mean == pytest.approx(est.mean, rel=1e-12)
+        """Each column's mean is the estimator that price reports; a double
+        barrier has no q_exact column."""
+        model, base = load_config("table2", steps=4)
+        for spec in (base, replace(base, rebate=3.0), replace(base, knock="in")):
+            report = price(model, spec, 40_000, seed=11)
+            cols = path_contributions(model, spec, 40_000, seed=11)
+            assert set(cols) == {"q_s", "q_lower", "q_indep", "q_upper"}
+            for name, col in cols.items():
+                assert np.mean(col) == pytest.approx(report.estimates[name][0], rel=1e-12), name
 
-    def test_weights_in_unit_interval(self):
-        model, spec = load_config("table2", steps=4)
-        cols = path_contributions(model, spec, 5000, seed=1)
-        for name in ("w_lower", "w_indep", "w_upper"):
-            assert np.all((cols[name] >= 0.0) & (cols[name] <= 1.0))
+    @given(
+        cfg=st.sampled_from(BUNDLED),
+        steps=st.sampled_from([None, 1, 3, 8]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        kind=st.sampled_from(["call", "digital", "custom"]),
+        contract=st.sampled_from([("out", 0.0), ("out", 0.5), ("out", 2.0), ("out", 10.0),
+                                  ("in", 0.0)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bracket_holds_on_every_path(self, cfg, steps, seed, kind, contract):
+        """q_lower <= q_indep <= q_upper on every path, exactly, whatever
+        the signs of the payoff and of payoff minus rebate; the custom hook
+        pays S - K unclipped."""
+        model, spec = load_config(cfg, steps=steps)
+        knock, rebate = contract
+        hook = (lambda s: s[:, spec.asset] - spec.strike) if kind == "custom" else None
+        spec = replace(spec, kind=kind, knock=knock, rebate=rebate, payoff=hook)
+        cols = path_contributions(model, spec, 3000, seed=seed)
+        assert np.all(cols["q_lower"] <= cols["q_indep"])
+        assert np.all(cols["q_indep"] <= cols["q_upper"])
 
 
 class TestStandardErrors:
@@ -462,8 +453,7 @@ class TestStandardErrors:
         model, spec = load_config("table1a", steps=2)
         n = 50_000
         report = price(model, spec, n, seed=5)
-        cols = path_contributions(model, spec, n, seed=5)
-        c = cols["payoff"] * cols["alive"].astype(float) * cols["w_exact"]
+        c = path_contributions(model, spec, n, seed=5)["q_exact"]
         se = float(np.std(c, ddof=1)) / math.sqrt(n)
         assert report.q_exact.std_error == pytest.approx(se, rel=1e-10)
 
@@ -479,8 +469,7 @@ class TestStandardErrors:
         spec = OptionSpec(kind="custom", payoff=lambda s: 1e8 + 0.01 * s[:, 0])
         n = 200_000
         report = price(model, spec, n, seed=1)
-        cols = path_contributions(model, spec, n, seed=1)
-        c = cols["payoff"] * cols["w_lower"]
+        c = path_contributions(model, spec, n, seed=1)["q_lower"]
         dev = c - np.mean(c)
         se = math.sqrt(float(dev @ dev) / (n - 1) / n)
         assert se == pytest.approx(6.85e-4, rel=1e-3)

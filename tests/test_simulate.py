@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgebound.bridge import IntervalContext, _combine, _xi_inside, interval_weights
-from bridgebound.estimators import path_contributions, price
+from bridgebound import estimators
+from bridgebound.estimators import price
 from bridgebound.model import (
     MarketModel,
     ModelError,
-    OptionSpec,
     Regime,
     TimeGrid,
     config_path,
@@ -451,31 +452,19 @@ class TestDeadRowsDropped:
 
     @pytest.mark.parametrize("knock, rebate", [("out", 0.0), ("out", 2.5), ("in", 0.0)])
     @pytest.mark.parametrize("cfg", ["table4_d10", "table1b", "table2"])
-    def test_knock_out_sums_are_the_full_walk_sums(self, cfg, knock, rebate):
-        """The means equal the full walk's sums, bit for bit: of v*I*W + R*(1 - I*W)
-        for knock-out, and of v*(1 - I*W) for knock-in, whose bounds swap."""
+    def test_knock_out_sums_are_the_full_walk_sums(self, cfg, knock, rebate, monkeypatch):
+        """A price from walks that drop dead rows is, bit for bit, the price
+        from full walks whose dead rows' terminals are dropped afterwards."""
         model, spec = load_config(cfg, steps=8)
-        spec = OptionSpec(kind=spec.kind, strike=spec.strike, asset=spec.asset, knock=knock,
-                          rebate=rebate)
-        n = CHUNK + 1
-        report = price(model, spec, n, seed=7)
-        discount = math.exp(-model.rate * model.grid.maturity)
-        totals = [0.0] * 4
-        for batch in path_batches(model, n, seed=7):
-            v = discount * spec.terminal_payoff(batch.terminal)
-            for k, surv in enumerate((batch.alive.astype(float), batch.w_lower,
-                                      batch.w_indep, batch.w_upper)):
-                if knock == "in":
-                    c = v * (1.0 - surv)
-                else:
-                    c = v * surv
-                    if rebate:
-                        c = c + rebate * discount * (1.0 - surv)
-                totals[k] += float(np.sum(c))
-        means = [report.q_s.mean, report.q_lower.mean, report.q_indep.mean, report.q_upper.mean]
-        if knock == "in":
-            means[1], means[3] = means[3], means[1]
-        assert means == [t / n for t in totals]
+        spec = replace(spec, knock=knock, rebate=rebate)
+        compacted = price(model, spec, CHUNK + 1, seed=7).to_dict()
+
+        def full_walk(plan, seed, chunk, n_paths, compact=False):
+            batch = _compute_batch(plan, seed, chunk, n_paths)
+            return replace(batch, terminal=batch.terminal[batch.alive]) if compact else batch
+
+        monkeypatch.setattr(estimators, "_compute_batch", full_walk)
+        assert price(model, spec, CHUNK + 1, seed=7).to_dict() == compacted
 
 
 @functools.cache
@@ -615,13 +604,15 @@ class TestEngineMatchesIntervalWeights:
     def test_weights_are_products_of_interval_weights(self):
         """Each path's engine weights are the product over steps of the
         scalar interval weights on that path's sampled endpoints."""
-        base, spec = load_config("table4_d3", steps=4)
+        base, _ = load_config("table4_d3", steps=4)
         r = base.regimes[0]
         # asset 0 carries both a lower and an upper barrier
         regime = Regime(mu=r.mu, sigma=r.sigma, corr=r.corr, lower=r.lower,
                         upper=[150.0, None, None])
         model = MarketModel(spot=base.spot, rate=base.rate, grid=base.grid, regimes=regime)
-        cols = path_contributions(model, spec, CHUNK + 40, seed=9)
+        batches = list(path_batches(model, CHUNK + 40, seed=9))
+        cols = {name: np.concatenate([getattr(b, name) for b in batches])
+                for name in ("alive", "w_lower", "w_indep", "w_upper")}
         # the first three surviving paths and the first dead one of each chunk
         picked = []
         for first in (0, CHUNK):
