@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Iterator, TextIO
 
+from .estimators import _usable_cpus
 from .estimators import price as price_option
 from .harness import (
     SweepSpec,
@@ -56,13 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo pricing of continuously monitored barrier options",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cpus = _usable_cpus()
 
     p = sub.add_parser("price", help="price one configuration")
     p.add_argument("config", help="shipped config name or JSON path")
     p.add_argument("--paths", type=int, default=100_000, help="number of Monte Carlo paths")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.05, help="confidence interval level")
-    p.add_argument("--workers", type=int, default=1)
+    _workers_arg(p, cpus)
     _output_args(p)
     p.set_defaults(func=_cmd_price)
 
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="comma-separated step counts, e.g. 1,2,4,16")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _workers_arg(p, cpus)
     _output_args(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -79,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("table_id", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--paths", type=int, default=None, help="override published path counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _workers_arg(p, cpus)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_table)
@@ -91,6 +93,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     return parser
+
+
+def _workers_arg(p: argparse.ArgumentParser, cpus: int) -> None:
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=cpus,
+        help="threads that price the chunks (default: %(default)s, the CPUs this process "
+        "may use); the results are the same at any count",
+    )
 
 
 def _output_args(p: argparse.ArgumentParser) -> None:

@@ -14,15 +14,22 @@ one barrier event the three weights coincide and q_exact is their common
 value.
 
 Per-path contributions are reduced chunk by chunk in a fixed order, so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count, and for any BLAS thread
+count: ``price`` holds BLAS to one thread while its own threads run.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -148,7 +155,13 @@ def _midpoint(lo: EstimatorResult, hi: EstimatorResult) -> PointEstimate:
 
 
 def _contributions(
-    plan: _EnginePlan, spec: OptionSpec, discount: float, seed: int, n_paths: int, chunk: int
+    plan: _EnginePlan,
+    spec: OptionSpec,
+    discount: float,
+    seed: int,
+    n_paths: int,
+    chunk: int,
+    helper: Executor | None = None,
 ) -> tuple[np.ndarray, ...]:
     """One chunk's per-path q_s, q_lower, q_indep and q_upper contributions.
 
@@ -157,7 +170,7 @@ def _contributions(
     payoff is +0.0.  A knock-in walk evaluates the payoff on every row.
     """
     knock_out = spec.knock == "out"
-    batch = _compute_batch(plan, seed, chunk, n_paths, compact=knock_out)
+    batch = _compute_batch(plan, seed, chunk, n_paths, compact=knock_out, helper=helper)
     v = np.zeros(len(batch.alive))
     if len(batch.terminal):
         v[batch.alive if knock_out else ...] = discount * spec.terminal_payoff(batch.terminal)
@@ -173,6 +186,93 @@ def _contributions(
     # Monotone in the survival after rounding, so on every path q_indep lies
     # between the values at the two bound weights, whichever sign A - D has.
     return q_s, np.minimum(at_lower, at_upper), q_indep, np.maximum(at_lower, at_upper)
+
+
+class _BlasThreads:
+    """numpy's bundled OpenBLAS held to one thread while any holder runs.
+
+    Its own threads would otherwise compete with the draw-ahead helper and
+    with ``price``'s pool for the same CPUs.  The library is looked up on
+    first use, and where it or its thread-count symbols are absent, holding
+    does nothing.  Holders are counted under a lock, so the first one in
+    saves the old thread count and the last one out restores it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = 0
+        self._functions = None  # (get, set) once looked up; () when absent
+
+    def functions(self):
+        """The library's (get, set) thread-count functions, or None where absent."""
+        with self._lock:
+            if self._functions is None:
+                self._functions = ()
+                libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+                for path in sorted(libs.glob("libscipy_openblas*.so")):
+                    try:
+                        lib = ctypes.CDLL(str(path))
+                        get = lib.scipy_openblas_get_num_threads64_
+                        set_ = lib.scipy_openblas_set_num_threads64_
+                    except (OSError, AttributeError):
+                        continue
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    self._functions = (get, set_)
+                    break
+            return self._functions or None
+
+    @contextmanager
+    def one(self) -> Iterator[None]:
+        get, set_ = self.functions() or (None, None)
+        with self._lock:
+            if set_ and not self._holders:
+                self._saved = get()
+                set_(1)
+            self._holders += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holders -= 1
+                if set_ and not self._holders:
+                    set_(self._saved)
+
+
+_BLAS = _BlasThreads()
+
+T = TypeVar("T")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _per_chunk(
+    work: Callable[[int, Executor | None], T], n_chunks: int, n_steps: int, workers: int
+) -> list[T]:
+    """``work(chunk, helper)`` for every chunk, in chunk order.
+
+    With ``workers > 1`` and more than one chunk, a pool of ``workers``
+    threads takes the chunks.  Otherwise the chunks run here, one after the
+    other, and where the process may use a second CPU and a walk has a next
+    step to draw, one helper thread draws it (see ``simulate._walk``).
+    While either runs, BLAS keeps to one thread.  No thread outlives the
+    call.
+    """
+    if workers > 1 and n_chunks > 1:
+        with _BLAS.one(), ThreadPoolExecutor(max_workers=workers) as pool:
+            # map() preserves chunk order, so what the caller reduces is the
+            # same whatever the worker count.
+            return list(pool.map(lambda c: work(c, None), range(n_chunks)))
+    if n_steps < 2 or _usable_cpus() < 2:
+        return [work(c, None) for c in range(n_chunks)]
+    with _BLAS.one(), ThreadPoolExecutor(max_workers=1) as helper:
+        return [work(c, helper) for c in range(n_chunks)]
 
 
 def price(
@@ -199,7 +299,11 @@ def price(
     alpha : float
         Two-sided level of the outer confidence interval, in (0, 1).
     workers : int
-        Thread count for chunk evaluation, at least 1.
+        Thread count for chunk evaluation, at least 1.  With one worker (or
+        a single chunk), a helper thread draws each step's normals during
+        the step before, where the process may use a second CPU.  While
+        the pool or the helper runs, numpy's bundled OpenBLAS is held to
+        one thread and then restored.  Neither changes a bit.
 
     Returns
     -------
@@ -215,9 +319,9 @@ def price(
     plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)
 
-    def partials(chunk_index: int) -> list[tuple[int, float, float, float]]:
+    def partials(chunk_index: int, helper: Executor | None) -> list[tuple[int, float, float, float]]:
         sums = []
-        for c in _contributions(plan, spec, discount, seed, n_paths, chunk_index):
+        for c in _contributions(plan, spec, discount, seed, n_paths, chunk_index, helper):
             # The chunk's count, sum, mean and sum of squared deviations
             # from that mean: two-pass, so nothing cancels against a large
             # mean.  The mean is refined by its residual, which makes it
@@ -231,15 +335,7 @@ def price(
             sums.append((len(c), s, mean, float(np.sum(dev))))
         return sums
 
-    n_chunks = _n_chunks(n_paths)
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map() preserves chunk order, so the reduction below is the
-            # same floating-point sum regardless of worker count.
-            per_chunk = list(pool.map(partials, range(n_chunks)))
-    else:
-        per_chunk = [partials(c) for c in range(n_chunks)]
-
+    per_chunk = _per_chunk(partials, _n_chunks(n_paths), len(plan.steps), workers)
     columns = []
     for col in zip(*per_chunk):
         # Merge the chunks' means and squared deviations in chunk order
@@ -283,8 +379,12 @@ def path_contributions(
     validate(model, spec).raise_if_invalid()
     plan = _plan(model)
     discount = math.exp(-model.rate * model.grid.maturity)
-    columns = zip(*(_contributions(plan, spec, discount, seed, n_paths, c)
-                    for c in range(_n_chunks(n_paths))))
+    columns = zip(*_per_chunk(
+        lambda c, helper: _contributions(plan, spec, discount, seed, n_paths, c, helper),
+        _n_chunks(n_paths),
+        len(plan.steps),
+        workers=1,
+    ))
     cols = {name: np.concatenate(col) for name, col in zip(ESTIMATOR_NAMES[:4], columns)}
     if plan.exact:
         cols["q_exact"] = cols["q_upper"]

@@ -17,7 +17,7 @@ from typing import TextIO
 import numpy as np
 
 from .analytic import reference_price
-from .estimators import PricingReport, price
+from .estimators import PricingReport, _usable_cpus, price
 from .model import ModelError, _read_count, load_config, read_int
 
 __all__ = [
@@ -103,14 +103,17 @@ def csv_writer(out: TextIO) -> csv.DictWriter:
 
 
 def run_sweep(
-    spec: SweepSpec, workers: int = 1, out: TextIO | None = None
+    spec: SweepSpec, workers: int | None = None, out: TextIO | None = None
 ) -> dict[int, PricingReport]:
     """Price the configuration at every M in the sweep, in order.
 
-    When ``out`` is given, the CSV header and then each M's rows are written
-    to it, flushed after each M, so a long sweep shows its progress and
-    partial results survive an interrupted run.
+    ``workers`` defaults to the CPUs the process may use; the reports are
+    the same at any worker count.  When ``out`` is given, the CSV header and
+    then each M's rows are written to it, flushed after each M, so a long
+    sweep shows its progress and partial results survive an interrupted run.
     """
+    if workers is None:
+        workers = _usable_cpus()
     label = _config_label(spec.config)
     writer = None if out is None else csv_writer(out)
     reports: dict[int, PricingReport] = {}
@@ -442,7 +445,7 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
 
 
 def reproduce_table(
-    table_id: int, n_paths: int | None = None, seed: int = 0, workers: int = 1
+    table_id: int, n_paths: int | None = None, seed: int = 0, workers: int | None = None
 ) -> TableReport:
     """Re-run the configurations behind one published table and check them.
 
@@ -452,7 +455,8 @@ def reproduce_table(
     get proportionally wider tolerances through their own larger errors).
     Special cases checked as identities: the two-asset rho = -1 lower
     bound at M = 1 is exactly zero, and the estimator ordering
-    q_lower <= q_indep <= q_upper holds at every M.
+    q_lower <= q_indep <= q_upper <= q_s holds at every M.  ``workers`` is
+    passed to :func:`run_sweep`.
     """
     table_id = read_int("table_id", table_id, 1, len(_TABLE_PLAN) + 1)
     checks: list[GoldenCheck] = []
@@ -510,13 +514,18 @@ def _z_check(label: str, value: float, se: float, target: float, target_se: floa
 
 
 def _ordering_check(label: str, m: int, report: PricingReport) -> GoldenCheck:
-    ok = report.q_lower.mean <= report.q_indep.mean <= report.q_upper.mean
+    """The bound chain on the means.  Its first two links hold path by path
+    for any contract; q_upper <= q_s holds where a path pays at least as
+    much alive as knocked out, as every bundled table's knock-out call
+    without a rebate does."""
+    chain = (report.q_lower, report.q_indep, report.q_upper, report.q_s)
+    ok = all(a.mean <= b.mean for a, b in zip(chain, chain[1:]))
     return GoldenCheck(
-        label=f"{label} M={m} ordering q_lower <= q_indep <= q_upper",
+        label=f"{label} M={m} ordering q_lower <= q_indep <= q_upper <= q_s",
         value=report.q_indep.mean,
         std_error=report.q_indep.std_error,
         target=report.q_indep.mean,
         target_se=0.0,
         z_score=0.0,
-        passed=bool(ok),
+        passed=ok,
     )

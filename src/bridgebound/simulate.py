@@ -13,12 +13,16 @@ a barrier, so its walk drops dead rows: when fewer than half of the walked
 rows are alive it gathers the alive ones, and from then on draws up to the
 last of them and keeps only theirs.  A walk carries exactly the rows it
 prices, with no spare row; a lone row is doubled in the correlation
-product only (see ``_walk``).  Together these make every output a pure
-function of (seed, n_paths, model) no matter how chunks are scheduled
-across workers.  NumPy keeps the ``SeedSequence`` and ``SFC64`` streams
-fixed across releases, but its compatibility policy lets a feature release
-change what a ``Generator`` method such as ``standard_normal`` makes of
-them, with a note in the release notes: the same seed then gives new bits.
+product only (see ``_walk``).  A walk may hand the next step's draw to a
+helper thread, which draws it while the walk takes this step; it draws up
+to this step's last walked row, and the walk keeps the same rows of the
+same block, so the helper changes no bit.  Together these make every
+output a pure function of (seed, n_paths, model) no matter how chunks are
+scheduled across workers, or whether a helper draws.  NumPy keeps the
+``SeedSequence`` and ``SFC64`` streams fixed across releases, but its
+compatibility policy lets a feature release change what a ``Generator``
+method such as ``standard_normal`` makes of them, with a note in the
+release notes: the same seed then gives new bits.
 
 The draws stay row-major, (rows, d) in stream order, through the
 correlation product.  The walk then keeps prices asset-major, as (d, rows)
@@ -39,6 +43,7 @@ and for a path count, path index or seed that is not an integer in range.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -95,15 +100,14 @@ class PathBatch:
     w_upper: np.ndarray
 
 
-def _normals(seed: int, chunk_index: int, step: int, d: int, index: np.ndarray) -> np.ndarray:
-    """Stream 2's normals for the chunk rows ``index`` (increasing) at one step.
+def _normals(seed: int, chunk_index: int, step: int, d: int, rows: int) -> np.ndarray:
+    """Stream 2's (rows, d) block of normals for one step of a chunk.
 
-    The step's own generator fills a (rows, d) block row-major, up to the
-    last of ``index``, and the block keeps the rows of ``index``.
+    The step's own generator fills it row-major, so a block's first rows
+    are the whole of any shorter block's.
     """
     key = np.random.SeedSequence(seed, spawn_key=(chunk_index, step))
-    z = np.random.Generator(np.random.SFC64(key)).standard_normal((int(index[-1]) + 1, d))
-    return z if len(index) == len(z) else z[index]
+    return np.random.Generator(np.random.SFC64(key)).standard_normal((rows, d))
 
 
 class _Rows:
@@ -166,7 +170,14 @@ def _front(buffer: np.ndarray, d: int, rows: int) -> np.ndarray:
     return buffer.reshape(-1)[: d * rows].reshape(d, rows)
 
 
-def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact: bool = False):
+def _walk(
+    plan: _EnginePlan,
+    seed: int,
+    chunk_index: int,
+    state: _Rows,
+    compact: bool = False,
+    helper: Executor | None = None,
+):
     """Walk the rows ``state`` carries of one chunk: yield ``(kernel, x0, x1)`` per step.
 
     ``x0`` and ``x1`` are the walked rows' log prices at the step's ends,
@@ -180,6 +191,13 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
     alive first gathers the alive ones, and a step that finds none ends the
     walk.
 
+    With a ``helper`` executor, the walk hands it the next step's draw
+    before yielding this step, so the draw runs while the caller works on
+    this step.  It draws up to this step's last walked row, which covers
+    every row the next step keeps, and the walk takes only those rows from
+    it: the same bits as a block drawn on the walking thread.  At most one
+    block is in flight.
+
     numpy hands a one-row matrix product to gemv, which can round the
     correlated draws differently in the last bit from the same row of a
     many-row product; from two rows on, any subset of rows agrees with the
@@ -189,11 +207,12 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
     x0 = np.repeat(plan.log_spot[:, None], rows, axis=1)
     x1 = np.empty_like(x0)
     zt = np.empty_like(x0)
+    ahead = None  # the future of this step's block, drawn during the last step
     for step, kernel in enumerate(plan.steps):
         if compact:
             live = np.count_nonzero(state.alive)
             if not live:
-                return
+                break
             if 2 * live < rows:
                 keep = np.flatnonzero(state.alive)
                 state.keep(keep)
@@ -206,7 +225,15 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
                     _front(x0, d, rows),
                 )
                 zt = _front(zt, d, rows)
-        z = _normals(seed, chunk_index, step, d, state.index)
+        last = int(state.index[-1]) + 1
+        if ahead is None:
+            z = _normals(seed, chunk_index, step, d, last)
+        else:
+            z, ahead = ahead.result(), None
+        if len(z) != rows:
+            z = z[state.index]
+        if helper is not None and step + 1 < len(plan.steps):
+            ahead = helper.submit(_normals, seed, chunk_index, step + 1, d, last)
         if kernel.factor is None:
             np.copyto(zt.T, z)
         elif rows == 1:
@@ -221,20 +248,31 @@ def _walk(plan: _EnginePlan, seed: int, chunk_index: int, state: _Rows, compact:
         _clear_touched(state.alive, kernel.events, x0, x1)
         yield kernel, x0, x1
         x0, x1 = x1, x0
+    # A walk that ends early leaves the next block unread: take it off the
+    # helper before the next walk hands it one.
+    if ahead is not None and not ahead.cancel():
+        ahead.result()
 
 
 def _compute_batch(
-    plan: _EnginePlan, seed: int, chunk_index: int, n_paths: int, compact: bool = False
+    plan: _EnginePlan,
+    seed: int,
+    chunk_index: int,
+    n_paths: int,
+    compact: bool = False,
+    helper: Executor | None = None,
 ) -> PathBatch:
     """Simulate the paths of one chunk that lie among the first ``n_paths``.
 
     With ``compact`` the walk drops dead rows, and the batch carries the
-    terminal prices of the alive rows only.  The plan has at least one step.
+    terminal prices of the alive rows only.  A ``helper`` draws each step's
+    normals during the step before (see ``_walk``); it changes no bit.  The
+    plan has at least one step.
     """
     rows = min(CHUNK, n_paths - chunk_index * CHUNK)
     # An exact plan's three weights are equal bit for bit: carry one.
     state = _Rows(rows, n_weights=1 if plan.exact else 3)
-    for kernel, x0, x1 in _walk(plan, seed, chunk_index, state, compact):
+    for kernel, x0, x1 in _walk(plan, seed, chunk_index, state, compact, helper):
         if kernel.events:
             # Rows that touch a barrier are dead, and the alive mask zeroes
             # their weights below, so the hit probability is taken as if

@@ -15,8 +15,10 @@ import math
 
 import pytest
 
+from bridgebound import cli, harness
 from bridgebound.cli import main
 from bridgebound.harness import CSV_HEADER, GoldenCheck, TableReport
+from bridgebound.simulate import CHUNK
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -216,6 +218,26 @@ class TestSweep:
         assert payload["config"] == "table1a"
         assert [entry["m"] for entry in payload["results"]] == [1, 4]
         assert all("estimators" in entry for entry in payload["results"])
+
+    def test_workers_default_to_the_usable_cpus(self, capsys, monkeypatch):
+        """Results do not depend on the worker count, so by default every
+        CPU the process may use prices."""
+        counts = []
+        price = harness.price
+
+        def counting_price(*args, **kwargs):
+            counts.append(kwargs["workers"])
+            return price(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "price", counting_price)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        argv = ("sweep", "table3_rho0", "--m", "1,2", "--paths", str(CHUNK + 1))
+        _, by_default, _ = run_cli(capsys, *argv)
+        assert counts == [3, 3]
+        _, one_worker, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert by_default == one_worker
+        _, usage, _ = run_cli(capsys, "sweep", "--help")
+        assert "default: 3, the CPUs this process may use" in " ".join(usage.split())
 
     def test_malformed_m_fails(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "table1a", "--m", "1,x,4")

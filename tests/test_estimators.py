@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgebound import estimators
 from bridgebound.estimators import (
     EstimatorResult,
     PointEstimate,
@@ -488,3 +490,96 @@ class TestStandardErrors:
         small = price(model, spec, 5000, seed=1)
         large = price(model, spec, 80_000, seed=1)
         assert large.q_s.std_error < small.q_s.std_error
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to 2 for the
+    test and put back after it."""
+    functions = estimators._BLAS.functions()
+    if functions is None:
+        pytest.skip("numpy's bundled OpenBLAS, or its thread-count symbols, is absent")
+    get, set_ = functions
+    old = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(old)
+
+
+def counting_hook(counts, count):
+    """A call payoff on asset 0 that appends ``count()`` to ``counts`` each call."""
+
+    def hook(s):
+        counts.append(count())
+        return np.maximum(s[:, 0] - 100.0, 0.0)
+
+    return hook
+
+
+class TestThreads:
+    """price starts threads for the length of the call only, and while they
+    run holds BLAS to one thread, then puts the old count back."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # The draw-ahead helper runs only where a second CPU is usable.
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blas_count_is_one_during_price_and_restored_after(self, blas_threads, workers):
+        model, _ = load_config("table4_d3", steps=4)
+        seen = []
+        spec = OptionSpec(kind="custom", payoff=counting_hook(seen, blas_threads))
+        price(model, spec, CHUNK + 1, workers=workers)
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+        with pytest.raises(ModelError, match="payoff hook"):
+            price(model, OptionSpec(kind="custom", payoff=lambda s: np.zeros(3)), CHUNK + 1,
+                  workers=workers)
+        assert blas_threads() == 2
+
+    def test_concurrent_prices_restore_the_count_once(self, blas_threads):
+        """Two prices on two threads hold BLAS at once; the count stays at one
+        until the later one ends, and only then comes back."""
+        model, _ = load_config("table4_d3", steps=4)
+        both_inside = threading.Barrier(2, timeout=60)
+        first_done = threading.Event()
+        seen = []
+
+        def hook(after_first):
+            def payoff(s):
+                both_inside.wait()
+                if after_first:
+                    assert first_done.wait(timeout=60)
+                seen.append(blas_threads())
+                return np.maximum(s[:, 0] - 100.0, 0.0)
+
+            return payoff
+
+        def first():
+            price(model, OptionSpec(kind="custom", payoff=hook(False)), 1000, seed=1)
+            first_done.set()
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        price(model, OptionSpec(kind="custom", payoff=hook(True)), 1000, seed=2)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen == [1, 1]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_thread_outlives_price(self, workers):
+        model, _ = load_config("table4_d3", steps=4)
+        before = threading.active_count()
+        during = []
+        spec = OptionSpec(kind="custom", payoff=counting_hook(during, threading.active_count))
+        price(model, spec, CHUNK + 1, workers=workers)
+        assert max(during) > before  # the helper, or the pool, ran
+        assert threading.active_count() == before
+        with pytest.raises(ModelError, match="payoff hook"):
+            price(model, OptionSpec(kind="custom", payoff=lambda s: np.zeros(3)), CHUNK + 1,
+                  workers=workers)
+        assert threading.active_count() == before

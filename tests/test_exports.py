@@ -1,7 +1,7 @@
 """Every exported name exists: each submodule's ``__all__`` names only what
 the module defines, the package's ``__all__`` resolves in full, and every
 module attribute that perfbench swaps for a timing wrapper is there.  The
-package imports without loading scipy."""
+package imports without loading scipy, starting a thread or looking up BLAS."""
 
 from __future__ import annotations
 
@@ -47,6 +47,19 @@ def test_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(bridgebound.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.stdout == "False\n", done.stderr
+
+
+def test_import_starts_no_thread_and_looks_up_no_blas():
+    """``import bridgebound`` starts no thread, and BLAS is looked up on
+    ``price``'s first use of it, not at import."""
+    code = (
+        "import threading, bridgebound\n"
+        "from bridgebound.estimators import _BLAS\n"
+        "print(threading.active_count(), _BLAS._functions)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bridgebound.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.stdout == "1 None\n", done.stderr
 
 
 def test_perfbench_traced_targets_patch_and_restore(monkeypatch):

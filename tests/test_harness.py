@@ -8,13 +8,15 @@ import math
 
 import pytest
 
-from bridgebound.estimators import ESTIMATOR_NAMES, price
+from bridgebound import harness
+from bridgebound.estimators import ESTIMATOR_NAMES, EstimatorResult, PricingReport, price
 from bridgebound.harness import (
     CSV_HEADER,
     ConvergenceFit,
     GoldenCheck,
     SweepSpec,
     TableReport,
+    _ordering_check,
     fit_convergence,
     fit_from_csv,
     report_rows,
@@ -155,6 +157,20 @@ class TestRunSweep:
             assert float(q_upper["std_error"]) == report.q_upper.std_error
             assert float(rows[(m, "ci_low")]["mean"]) == report.ci[0]
 
+    def test_workers_default_to_the_usable_cpus(self, monkeypatch):
+        counts = []
+        price = harness.price
+
+        def counting_price(*args, **kwargs):
+            counts.append(kwargs["workers"])
+            return price(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "price", counting_price)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        spec = SweepSpec(config="table2", m_values=(1,), n_paths=3000, seed=5)
+        assert run_sweep(spec)[1] == run_sweep(spec, workers=1)[1]
+        assert counts == [3, 1]
+
     def test_rows_flushed_after_each_m(self):
         """Each M's rows reach the stream, flushed, before the next M is priced."""
 
@@ -291,6 +307,22 @@ class TestGoldenChecks:
         report = TableReport(table_id=1, checks=(check,), reports={})
         assert report.ok
         assert report.format().endswith("table 1: PASS")
+
+    def test_ordering_row_fails_when_q_upper_exceeds_q_s(self):
+        """Every bundled table prices a knock-out call without a rebate, which
+        pays at least as much alive as knocked out, so q_upper above q_s is
+        a broken chain."""
+
+        def report(q_s):
+            means = {"q_s": q_s, "q_lower": 1.0, "q_indep": 1.5, "q_upper": 2.0}
+            columns = {name: EstimatorResult(mean, 0.01) for name, mean in means.items()}
+            return PricingReport(**columns, q_exact=None, alpha=0.05, n_paths=2, seed=0)
+
+        assert _ordering_check("demo", 1, report(2.0)).passed
+        row = _ordering_check("demo", 1, report(1.9))
+        assert not row.passed
+        assert row.label == "demo M=1 ordering q_lower <= q_indep <= q_upper <= q_s"
+        assert "FAIL demo M=1 ordering" in TableReport(table_id=1, checks=(row,), reports={}).format()
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="table_id"):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgebound.bridge import IntervalContext, _combine, _xi_inside, interval_weights
-from bridgebound import estimators
-from bridgebound.estimators import price
+from bridgebound import estimators, simulate
+from bridgebound.estimators import path_contributions, price
 from bridgebound.model import (
     MarketModel,
     ModelError,
+    OptionSpec,
     Regime,
     TimeGrid,
     config_path,
@@ -459,12 +462,101 @@ class TestDeadRowsDropped:
         spec = replace(spec, knock=knock, rebate=rebate)
         compacted = price(model, spec, CHUNK + 1, seed=7).to_dict()
 
-        def full_walk(plan, seed, chunk, n_paths, compact=False):
-            batch = _compute_batch(plan, seed, chunk, n_paths)
+        def full_walk(plan, seed, chunk, n_paths, compact=False, helper=None):
+            batch = _compute_batch(plan, seed, chunk, n_paths, helper=helper)
             return replace(batch, terminal=batch.terminal[batch.alive]) if compact else batch
 
         monkeypatch.setattr(estimators, "_compute_batch", full_walk)
         assert price(model, spec, CHUNK + 1, seed=7).to_dict() == compacted
+
+
+class _RecordingHelper(ThreadPoolExecutor):
+    """A one-thread helper that keeps every future handed to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.futures = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+# table4_d10 knock-out gathers, then walks a lone row in its one-row tail
+# chunk; knock-in walks every row; the box model's walk stops early at seed 7.
+DRAW_AHEAD_CASES = [("table4_d10", "out", 0.0), ("table4_d10", "in", 0.0),
+                    ("table4_d10", "out", 2.5), ("box", "out", 0.0)]
+
+
+def _draw_ahead_contract(cfg, knock, rebate):
+    if cfg == "box":
+        model, spec = _box_model(), OptionSpec(strike=100.0)
+    else:
+        model, spec = load_config(cfg, steps=8)
+    return model, replace(spec, knock=knock, rebate=rebate)
+
+
+class TestDrawAhead:
+    """A helper thread that draws each step's normals during the step before
+    changes no bit, and leaves no draw running once a walk ends."""
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("cfg", ["table4_d10", "box"])
+    def test_batches_are_the_batches_without_a_helper(self, cfg, compact):
+        model, _ = _draw_ahead_contract(cfg, "out", 0.0)
+        plan = _plan(model)
+        n = CHUNK + 1
+        with _RecordingHelper() as helper:
+            for chunk in range(_n_chunks(n)):
+                alone = _compute_batch(plan, 7, chunk, n, compact)
+                helped = _compute_batch(plan, 7, chunk, n, compact, helper)
+                assert all(f.done() for f in helper.futures), chunk
+                for name in ("terminal", "alive", "w_lower", "w_indep", "w_upper"):
+                    assert getattr(helped, name).tobytes() == getattr(alone, name).tobytes(), (
+                        chunk, name)
+        assert helper.futures
+
+    def test_early_end_takes_the_unread_block_off_the_helper(self):
+        """The box model's walk ends at its fourth step, with the next block
+        handed to the helper and never read."""
+        plan = _plan(_box_model())
+        with _RecordingHelper() as helper:
+            state = _Rows(1000)
+            steps = sum(1 for _ in _walk(plan, 7, 0, state, compact=True, helper=helper))
+            assert steps == 3 < len(plan.steps)
+            assert len(helper.futures) == 3
+            assert all(f.done() for f in helper.futures)
+
+    @pytest.mark.parametrize("cfg, knock, rebate", DRAW_AHEAD_CASES)
+    def test_price_and_contributions_keep_every_bit(self, cfg, knock, rebate, monkeypatch):
+        """price with one worker draws ahead on a helper, with two workers it
+        does not; path_contributions draws ahead unless one CPU is usable."""
+        model, spec = _draw_ahead_contract(cfg, knock, rebate)
+        n = CHUNK + 1
+        threads = set()
+        draw = simulate._normals
+
+        def recording_draw(*args):
+            threads.add(threading.current_thread() is threading.main_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_normals", recording_draw)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        pooled = price(model, spec, n, seed=7, workers=2).to_dict()
+        threads.clear()
+        assert price(model, spec, n, seed=7, workers=1).to_dict() == pooled
+        assert threads == {True, False}  # the helper drew, and so did the walk
+        threads.clear()
+        helped = path_contributions(model, spec, n, seed=7)
+        assert threads == {True, False}
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
+        threads.clear()
+        alone = path_contributions(model, spec, n, seed=7)
+        assert threads == {True}
+        assert helped.keys() == alone.keys()
+        for name in alone:
+            assert helped[name].tobytes() == alone[name].tobytes(), name
 
 
 @functools.cache
