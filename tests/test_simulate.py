@@ -483,8 +483,8 @@ class _RecordingHelper(ThreadPoolExecutor):
         return future
 
 
-# table4_d10 knock-out gathers, then walks a lone row in its one-row tail
-# chunk; knock-in walks every row; the box model's walk stops early at seed 7.
+# table4_d10 knock-out gathers, and walks its one-row tail chunk as a lone
+# row; knock-in walks every row; the box model's walk stops early at seed 7.
 DRAW_AHEAD_CASES = [("table4_d10", "out", 0.0), ("table4_d10", "in", 0.0),
                     ("table4_d10", "out", 2.5), ("box", "out", 0.0)]
 
@@ -536,9 +536,10 @@ class TestDrawAhead:
         n = CHUNK + 1
         threads = set()
         draw = simulate._normals
+        caller = threading.get_ident()
 
         def recording_draw(*args):
-            threads.add(threading.current_thread() is threading.main_thread())
+            threads.add(threading.get_ident() == caller)
             return draw(*args)
 
         monkeypatch.setattr(simulate, "_normals", recording_draw)
