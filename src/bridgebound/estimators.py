@@ -14,22 +14,18 @@ one barrier event the three weights coincide and q_exact is their common
 value.
 
 Per-path contributions are reduced chunk by chunk in a fixed order, so
-results are bit-identical for any worker count, and for any BLAS thread
-count: ``price`` holds BLAS to one thread while its own threads run.
+results are bit-identical for any worker count.  The package never
+changes BLAS settings: its products are sized to run on the calling thread.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import statistics
-import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -188,60 +184,6 @@ def _contributions(
     return q_s, np.minimum(at_lower, at_upper), q_indep, np.maximum(at_lower, at_upper)
 
 
-class _BlasThreads:
-    """numpy's bundled OpenBLAS held to one thread while any holder runs.
-
-    Its own threads would otherwise compete with the draw-ahead helper and
-    with ``price``'s pool for the same CPUs.  The library is looked up on
-    first use, and where it or its thread-count symbols are absent, holding
-    does nothing.  Holders are counted under a lock, so the first one in
-    saves the old thread count and the last one out restores it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._saved = 0
-        self._functions = None  # (get, set) once looked up; () when absent
-
-    def functions(self):
-        """The library's (get, set) thread-count functions, or None where absent."""
-        with self._lock:
-            if self._functions is None:
-                self._functions = ()
-                libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-                for path in sorted(libs.glob("libscipy_openblas*.so")):
-                    try:
-                        lib = ctypes.CDLL(str(path))
-                        get = lib.scipy_openblas_get_num_threads64_
-                        set_ = lib.scipy_openblas_set_num_threads64_
-                    except (OSError, AttributeError):
-                        continue
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    self._functions = (get, set_)
-                    break
-            return self._functions or None
-
-    @contextmanager
-    def one(self) -> Iterator[None]:
-        get, set_ = self.functions() or (None, None)
-        with self._lock:
-            if set_ and not self._holders:
-                self._saved = get()
-                set_(1)
-            self._holders += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._holders -= 1
-                if set_ and not self._holders:
-                    set_(self._saved)
-
-
-_BLAS = _BlasThreads()
-
 T = TypeVar("T")
 
 
@@ -260,18 +202,18 @@ def _per_chunk(
     With ``workers > 1`` and more than one chunk, a pool of ``workers``
     threads takes the chunks.  Otherwise the chunks run here, one after the
     other, and where the process may use a second CPU and a walk has a next
-    step to draw, one helper thread draws it (see ``simulate._walk``).
-    While either runs, BLAS keeps to one thread.  No thread outlives the
-    call.
+    step to draw, one helper thread draws it (see ``simulate._walk``).  No
+    thread outlives the call, and no product of a walk wakes a BLAS thread
+    (see ``simulate._correlate``).
     """
     if workers > 1 and n_chunks > 1:
-        with _BLAS.one(), ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             # map() preserves chunk order, so what the caller reduces is the
             # same whatever the worker count.
             return list(pool.map(lambda c: work(c, None), range(n_chunks)))
     if n_steps < 2 or _usable_cpus() < 2:
         return [work(c, None) for c in range(n_chunks)]
-    with _BLAS.one(), ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=1) as helper:
         return [work(c, helper) for c in range(n_chunks)]
 
 
@@ -301,9 +243,8 @@ def price(
     workers : int
         Thread count for chunk evaluation, at least 1.  With one worker (or
         a single chunk), a helper thread draws each step's normals during
-        the step before, where the process may use a second CPU.  While
-        the pool or the helper runs, numpy's bundled OpenBLAS is held to
-        one thread and then restored.  Neither changes a bit.
+        the step before, where the process may use a second CPU.  Neither
+        changes a bit, and neither changes BLAS settings.
 
     Returns
     -------

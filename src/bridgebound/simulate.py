@@ -13,10 +13,10 @@ a barrier, so its walk drops dead rows: when fewer than half of the walked
 rows are alive it gathers the alive ones, and from then on draws up to the
 last of them and keeps only theirs.  A walk carries exactly the rows it
 prices, with no spare row; a lone row is doubled in the correlation
-product only (see ``_walk``).  A walk may hand the next step's draw to a
-helper thread, which draws it while the walk takes this step; it draws up
-to this step's last walked row, and the walk keeps the same rows of the
-same block, so the helper changes no bit.  Together these make every
+product only (see ``_correlate``).  A walk may hand the next step's draw
+to a helper thread, which draws it while the walk takes this step; it
+draws up to this step's last walked row, and the walk keeps the same rows
+of the same block, so the helper changes no bit.  Together these make every
 output a pure function of (seed, n_paths, model) no matter how chunks are
 scheduled across workers, or whether a helper draws.  NumPy keeps the
 ``SeedSequence`` and ``SFC64`` streams fixed across releases, but its
@@ -170,6 +170,37 @@ def _front(buffer: np.ndarray, d: int, rows: int) -> np.ndarray:
     return buffer.reshape(-1)[: d * rows].reshape(d, rows)
 
 
+# OpenBLAS runs a dgemm on the calling thread where m * n * k is at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD, which is 4 unless built otherwise.
+_GEMM_ONE_THREAD = 2**18
+
+
+def _correlate(z: np.ndarray, factor: np.ndarray | None, out: np.ndarray) -> None:
+    """``out[:] = z @ factor.T``, in row blocks that BLAS runs on the calling thread.
+
+    A ``factor`` of None is the identity: ``z`` is copied.  Otherwise each
+    block has at least 2 and, for d up to 295, at most
+    ``_GEMM_ONE_THREAD // d**2`` rows, so no block wakes a BLAS thread to
+    compete with the walk's helper or ``price``'s pool.  numpy hands a
+    one-row product to gemv, which can round differently in the last bit
+    from the same row of a many-row product; from two rows on, any subset
+    of rows agrees with the full product.  So a trailing row joins the
+    block before it, and a lone row is multiplied twice and kept once.
+    ``out`` may be the (rows, d) transpose of a C-contiguous array: numpy
+    then runs the transposed product, with the same bits.
+    """
+    rows, d = z.shape
+    if factor is None:
+        np.copyto(out, z)
+    elif rows == 1:
+        np.copyto(out, np.matmul(np.repeat(z, 2, axis=0), factor.T)[:1])
+    else:
+        step = max(2, _GEMM_ONE_THREAD // (d * d) - 1)
+        edges = [*range(0, rows - 1, step), rows]
+        for start, stop in zip(edges, edges[1:]):
+            np.matmul(z[start:stop], factor.T, out=out[start:stop])
+
+
 def _walk(
     plan: _EnginePlan,
     seed: int,
@@ -184,12 +215,11 @@ def _walk(
     asset-major: C-contiguous (d, rows) arrays, so ``x0[k]`` is asset k's
     row.  They live in buffers that the walk reuses: read them before the
     next step.  The draws stay row-major, in stream order; the correlation
-    product, or a copy where the regime has no factor, moves them into the
-    walk's third (d, rows) buffer.  ``state.alive`` is cleared in place
-    where a path's sampled endpoints touch or cross a barrier of the step.
-    With ``compact``, a step that finds fewer than half of the walked rows
-    alive first gathers the alive ones, and a step that finds none ends the
-    walk.
+    product (``_correlate``) moves them into the walk's third (d, rows)
+    buffer.  ``state.alive`` is cleared in place where a path's sampled
+    endpoints touch or cross a barrier of the step.  With ``compact``, a
+    step that finds fewer than half of the walked rows alive first gathers
+    the alive ones, and a step that finds none ends the walk.
 
     With a ``helper`` executor, the walk hands it the next step's draw
     before yielding this step, so the draw runs while the caller works on
@@ -197,11 +227,6 @@ def _walk(
     every row the next step keeps, and the walk takes only those rows from
     it: the same bits as a block drawn on the walking thread.  At most one
     block is in flight.
-
-    numpy hands a one-row matrix product to gemv, which can round the
-    correlated draws differently in the last bit from the same row of a
-    many-row product; from two rows on, any subset of rows agrees with the
-    full product.  So a walk of one row multiplies it twice and keeps one.
     """
     d, rows = plan.d, len(state.index)
     x0 = np.repeat(plan.log_spot[:, None], rows, axis=1)
@@ -234,14 +259,7 @@ def _walk(
             z = z[state.index]
         if helper is not None and step + 1 < len(plan.steps):
             ahead = helper.submit(_normals, seed, chunk_index, step + 1, d, last)
-        if kernel.factor is None:
-            np.copyto(zt.T, z)
-        elif rows == 1:
-            np.copyto(zt.T, (np.repeat(z, 2, axis=0) @ kernel.factor.T)[:1])
-        else:
-            # The same row-major BLAS product, and so the same bits, as into
-            # a (rows, d) array.
-            np.matmul(z, kernel.factor.T, out=zt.T)
+        _correlate(z, kernel.factor, zt.T)
         np.add(x0, kernel.drift, out=x1)
         zt *= kernel.vol
         x1 += zt

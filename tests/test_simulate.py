@@ -29,6 +29,7 @@ from bridgebound.simulate import (
     CHUNK,
     PathState,
     _compute_batch,
+    _correlate,
     _n_chunks,
     _plan,
     _Rows,
@@ -362,6 +363,35 @@ class TestGatheredProducts:
                 out = np.empty((model.d, size))
                 np.matmul(z[idx], factor.T, out=out.T)
                 assert out.T.tobytes() == full[idx].tobytes(), (size, ordered)
+
+
+class TestBlockedProduct:
+    """The correlation product runs in row blocks that OpenBLAS keeps on the
+    calling thread (m * n * k at most 2**18); together they are one product."""
+
+    @pytest.mark.parametrize("cfg", ["table3_rho0.5", "table4_d3", "table4_d10"])
+    def test_blocks_are_the_one_shot_product(self, cfg, monkeypatch):
+        model, _ = load_config(cfg)
+        d, factor = model.d, _plan(model).steps[0].factor
+        block = 2**18 // d**2 - 1
+        z = np.random.default_rng(23).standard_normal((max(CHUNK, 2 * block + 1), d))
+        full = z @ factor.T
+        shapes = []
+        matmul = np.matmul
+
+        def recording(a, b, *args, **kwargs):
+            shapes.append((*a.shape, b.shape[1]))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        for rows in (1, 2, block - 1, block, block + 1, 2 * block + 1, CHUNK):
+            shapes.clear()
+            out = np.empty((d, rows))  # the walk's asset-major buffer
+            _correlate(z[:rows], factor, out.T)
+            assert out.T.tobytes() == full[:rows].tobytes(), rows
+            assert shapes, rows
+            for m, k, n in shapes:
+                assert m >= 2 and m * n * k <= 2**18, (rows, m)
 
 
 def _assert_compact_batch_is_full_walk(model, n, seed=7):
