@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Iterator, TextIO
 
-from .estimators import _usable_cpus
 from .estimators import price as price_option
 from .harness import (
     SweepSpec,
@@ -32,7 +31,7 @@ from .harness import (
     reproduce_table,
     run_sweep,
 )
-from .model import load_config
+from .model import load_config, validate
 
 __all__ = ["main"]
 
@@ -57,14 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo pricing of continuously monitored barrier options",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cpus = _usable_cpus()
 
     p = sub.add_parser("price", help="price one configuration")
     p.add_argument("config", help="shipped config name or JSON path")
     p.add_argument("--paths", type=int, default=100_000, help="number of Monte Carlo paths")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.05, help="confidence interval level")
-    _workers_arg(p, cpus)
     _output_args(p)
     p.set_defaults(func=_cmd_price)
 
@@ -73,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="comma-separated step counts, e.g. 1,2,4,16")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    _workers_arg(p, cpus)
     _output_args(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -81,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("table_id", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--paths", type=int, default=None, help="override published path counts")
     p.add_argument("--seed", type=int, default=0)
-    _workers_arg(p, cpus)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_table)
@@ -93,16 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     return parser
-
-
-def _workers_arg(p: argparse.ArgumentParser, cpus: int) -> None:
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=cpus,
-        help="threads that price the chunks (default: %(default)s, the CPUs this process "
-        "may use); the results are the same at any count",
-    )
 
 
 def _output_args(p: argparse.ArgumentParser) -> None:
@@ -127,14 +112,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_price(args: argparse.Namespace) -> int:
     model, option = load_config(args.config)
-    report = price_option(
-        model,
-        option,
-        args.paths,
-        seed=args.seed,
-        alpha=args.alpha,
-        workers=args.workers,
-    )
+    report = price_option(model, option, args.paths, seed=args.seed, alpha=args.alpha)
     label = _config_label(args.config)
     m = model.grid.n_steps
     if args.format == "json":
@@ -153,12 +131,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"--m must be comma-separated integers, got {args.m!r}")
     spec = SweepSpec(config=args.config, m_values=m_values, n_paths=args.paths, seed=args.seed)
+    # A config that cannot be priced is refused before any output starts.
+    validate(*load_config(spec.config, steps=spec.m_values[0])).raise_if_invalid()
     if args.format == "csv":
         # Rows stream out as each M finishes.
         with _sink(args.output) as out:
-            run_sweep(spec, workers=args.workers, out=out)
+            run_sweep(spec, out=out)
         return 0
-    reports = run_sweep(spec, workers=args.workers)
+    reports = run_sweep(spec)
     payload = {
         "config": _config_label(args.config),
         "n_paths": args.paths,
@@ -170,9 +150,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    report = reproduce_table(
-        args.table_id, n_paths=args.paths, seed=args.seed, workers=args.workers
-    )
+    report = reproduce_table(args.table_id, n_paths=args.paths, seed=args.seed)
     if args.format == "json":
         payload = {
             "table": report.table_id,

@@ -223,7 +223,7 @@ def price(
     n_paths: int,
     seed: int = 0,
     alpha: float = 0.05,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> PricingReport:
     """Price the option under the model with all estimators in one pass.
 
@@ -240,8 +240,9 @@ def price(
         Stream key, in [0, 2**64).  Same seed, same answer, any workers.
     alpha : float
         Two-sided level of the outer confidence interval, in (0, 1).
-    workers : int
-        Thread count for chunk evaluation, at least 1.  With one worker (or
+    workers : int or None
+        Thread count for chunk evaluation, at least 1; ``None``, the
+        default, means the CPUs this process may use.  With one worker (or
         a single chunk), a helper thread draws each step's normals during
         the step before, where the process may use a second CPU.  Neither
         changes a bit, and neither changes BLAS settings.
@@ -252,7 +253,7 @@ def price(
     """
     n_paths = read_int("n_paths", n_paths, 2)
     seed = read_int("seed", seed, 0, 2**64)
-    workers = read_int("workers", workers, 1)
+    workers = _usable_cpus() if workers is None else read_int("workers", workers, 1)
     alpha = read_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ModelError(f"alpha must be in (0, 1), got {alpha}")
@@ -312,8 +313,9 @@ def path_contributions(
 
     Keyed by ``q_s``, ``q_lower``, ``q_indep``, ``q_upper``, and ``q_exact``
     when every interval has at most one barrier event.  Walked as ``price``
-    walks, so a knock-out's payoff hook sees the paths alive at maturity
-    only; ``path_batches`` gives the engine's raw indicator and weights.
+    walks at its default worker count, so a knock-out's payoff hook sees
+    the paths alive at maturity only; ``path_batches`` gives the engine's
+    raw indicator and weights.
     """
     n_paths = read_int("n_paths", n_paths, 1)
     seed = read_int("seed", seed, 0, 2**64)
@@ -324,7 +326,7 @@ def path_contributions(
         lambda c, helper: _contributions(plan, spec, discount, seed, n_paths, c, helper),
         _n_chunks(n_paths),
         len(plan.steps),
-        workers=1,
+        _usable_cpus(),
     ))
     cols = {name: np.concatenate(col) for name, col in zip(ESTIMATOR_NAMES[:4], columns)}
     if plan.exact:

@@ -17,7 +17,7 @@ from typing import TextIO
 import numpy as np
 
 from .analytic import reference_price
-from .estimators import PricingReport, _usable_cpus, price
+from .estimators import PricingReport, price
 from .model import ModelError, _read_count, load_config, read_int
 
 __all__ = [
@@ -107,13 +107,11 @@ def run_sweep(
 ) -> dict[int, PricingReport]:
     """Price the configuration at every M in the sweep, in order.
 
-    ``workers`` defaults to the CPUs the process may use; the reports are
-    the same at any worker count.  When ``out`` is given, the CSV header and
-    then each M's rows are written to it, flushed after each M, so a long
-    sweep shows its progress and partial results survive an interrupted run.
+    ``workers`` is passed to :func:`price`; the reports are the same at any
+    worker count.  When ``out`` is given, the CSV header and then each M's
+    rows are written to it, flushed after each M, so a long sweep shows its
+    progress and partial results survive an interrupted run.
     """
-    if workers is None:
-        workers = _usable_cpus()
     label = _config_label(spec.config)
     writer = None if out is None else csv_writer(out)
     reports: dict[int, PricingReport] = {}
@@ -185,7 +183,10 @@ def fit_from_csv(path: str | Path, model_kind: str = "exponential") -> Convergen
     """Fit convergence directly from a sweep CSV file.
 
     Rows without a standard error (the CI bounds) read as se = 0.0.  A file
-    containing several configs is rejected; fit one config at a time.
+    containing several configs is rejected; fit one config at a time.  A row
+    with a missing or extra field, an ``m`` that is not a positive integer,
+    or a ``mean`` or ``std_error`` that is not a finite number raises
+    ModelError naming the file, the line and the column.
     """
     table: dict[int, dict[str, tuple[float, float]]] = {}
     configs = set()
@@ -194,9 +195,17 @@ def fit_from_csv(path: str | Path, model_kind: str = "exponential") -> Convergen
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row:
+                raise ModelError(f"{where}: more than {len(CSV_HEADER)} fields")
+            for column in CSV_HEADER:
+                if row[column] is None:
+                    raise ModelError(f"{where}, column {column}: missing")
             configs.add(row["config"])
-            se = float(row["std_error"]) if row["std_error"] else 0.0
-            table.setdefault(int(row["m"]), {})[row["estimator"]] = (float(row["mean"]), se)
+            m = _csv_number(where, "m", row["m"], int)
+            mean = _csv_number(where, "mean", row["mean"], float)
+            se = _csv_number(where, "std_error", row["std_error"] or "0", float)
+            table.setdefault(m, {})[row["estimator"]] = (mean, se)
     if len(configs) > 1:
         raise ValueError(f"{path}: contains {len(configs)} configs, expected one")
     points = []
@@ -207,6 +216,18 @@ def fit_from_csv(path: str | Path, model_kind: str = "exponential") -> Convergen
         (hi, hi_se), (lo, lo_se) = row["q_upper"], row["q_lower"]
         points.append((m, hi - lo, math.hypot(hi_se, lo_se)))
     return _fit_points(points, model_kind)
+
+
+def _csv_number(where: str, column: str, text: str, kind: type[int] | type[float]) -> int | float:
+    """A sweep-CSV field read as a positive int or a finite float, or ModelError."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value) or (kind is int and value < 1):
+        expected = "a positive integer" if kind is int else "a finite number"
+        raise ModelError(f"{where}, column {column}: expected {expected}, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +465,7 @@ _TABLE_PLAN: dict[int, tuple[_Golden, ...]] = {
 }
 
 
-def reproduce_table(
-    table_id: int, n_paths: int | None = None, seed: int = 0, workers: int | None = None
-) -> TableReport:
+def reproduce_table(table_id: int, n_paths: int | None = None, seed: int = 0) -> TableReport:
     """Re-run the configurations behind one published table and check them.
 
     Published Monte Carlo rows are compared with a z-score built from both
@@ -455,8 +474,7 @@ def reproduce_table(
     get proportionally wider tolerances through their own larger errors).
     Special cases checked as identities: the two-asset rho = -1 lower
     bound at M = 1 is exactly zero, and the estimator ordering
-    q_lower <= q_indep <= q_upper <= q_s holds at every M.  ``workers`` is
-    passed to :func:`run_sweep`.
+    q_lower <= q_indep <= q_upper <= q_s holds at every M.
     """
     table_id = read_int("table_id", table_id, 1, len(_TABLE_PLAN) + 1)
     checks: list[GoldenCheck] = []
@@ -465,7 +483,7 @@ def reproduce_table(
         label = golden.config
         n = golden.n_paths if n_paths is None else n_paths
         m_values = sorted(golden.published)
-        sweep = run_sweep(SweepSpec(label, m_values, n, seed), workers)
+        sweep = run_sweep(SweepSpec(label, m_values, n, seed))
         for m, report in sweep.items():
             reports[(label, m)] = report
             named = report.estimates

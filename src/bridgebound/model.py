@@ -194,7 +194,8 @@ class OptionSpec:
     terminal prices of shape (n, d) to finite undiscounted payoffs of shape
     (n,); any other output raises ModelError.  A knock-out price passes the
     hook only the paths that survive to maturity; the payoff of a knocked-out
-    path is never read.
+    path is never read.  The hook is called once per chunk of paths, and by
+    default ``price`` prices chunks on several threads, so calls may overlap.
     ``rebate`` is paid at maturity if the option knocks out; a knock-in
     option takes none.
     """

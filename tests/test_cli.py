@@ -15,10 +15,8 @@ import math
 
 import pytest
 
-from bridgebound import cli, harness
 from bridgebound.cli import main
 from bridgebound.harness import CSV_HEADER, GoldenCheck, TableReport
-from bridgebound.simulate import CHUNK
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -219,25 +217,38 @@ class TestSweep:
         assert [entry["m"] for entry in payload["results"]] == [1, 4]
         assert all("estimators" in entry for entry in payload["results"])
 
-    def test_workers_default_to_the_usable_cpus(self, capsys, monkeypatch):
-        """Results do not depend on the worker count, so by default every
-        CPU the process may use prices."""
-        counts = []
-        price = harness.price
+    @pytest.mark.parametrize("argv", [
+        ("price", "table1a", "--paths", "2000"),
+        ("sweep", "table1a", "--m", "1", "--paths", "2000"),
+        ("table", "2", "--paths", "2000"),
+    ], ids=["price", "sweep", "table"])
+    def test_workers_option_is_refused(self, capsys, argv):
+        """Every command prices on the CPUs the process may use."""
+        code, out, err = run_cli(capsys, *argv, "--workers", "1")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --workers 1" in err
 
-        def counting_price(*args, **kwargs):
-            counts.append(kwargs["workers"])
-            return price(*args, **kwargs)
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    @pytest.mark.parametrize("config", ["nosuch", "broken", "on_barrier"])
+    def test_unpriceable_config_writes_nothing(self, tmp_path, capsys, config, to_file):
+        """A config that cannot be loaded or validated fails before the header."""
+        from bridgebound.model import config_path
 
-        monkeypatch.setattr(harness, "price", counting_price)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        argv = ("sweep", "table3_rho0", "--m", "1,2", "--paths", str(CHUNK + 1))
-        _, by_default, _ = run_cli(capsys, *argv)
-        assert counts == [3, 3]
-        _, one_worker, _ = run_cli(capsys, *argv, "--workers", "1")
-        assert by_default == one_worker
-        _, usage, _ = run_cli(capsys, "sweep", "--help")
-        assert "default: 3, the CPUs this process may use" in " ".join(usage.split())
+        cfg = json.loads(config_path("table1a").read_text(encoding="utf-8"))
+        (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+        (tmp_path / "on_barrier.json").write_text(
+            json.dumps({**cfg, "spot": [90.0]}), encoding="utf-8"
+        )
+        if config != "nosuch":
+            config = str(tmp_path / f"{config}.json")
+        target = tmp_path / "sweep.csv"
+        argv = ("sweep", config, "--m", "1,2", "--paths", "2000")
+        code, out, err = run_cli(capsys, *argv, *(("--output", str(target)) if to_file else ()))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.exists()
 
     def test_malformed_m_fails(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "table1a", "--m", "1,x,4")
@@ -356,6 +367,15 @@ class TestFit:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_short_row_exits_one(self, tmp_path, capsys):
+        source = tmp_path / "sweep.csv"
+        self.write_sweep(source, "exp")
+        with open(source, "a", encoding="utf-8") as fh:
+            fh.write("synthetic,16,q_upper,0.1\n")
+        code, out, err = run_cli(capsys, "fit", str(source), "--kind", "exp")
+        assert (code, out) == (1, "")
+        assert err == f"error: {source}, line 10, column std_error: missing\n"
 
     def test_unknown_kind_rejected(self, tmp_path, capsys):
         source = tmp_path / "sweep.csv"

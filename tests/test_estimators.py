@@ -7,6 +7,7 @@ import json
 import math
 import statistics
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -550,6 +551,33 @@ class TestThreads:
             price(model, OptionSpec(kind="custom", payoff=lambda s: np.zeros(3)), CHUNK + 1,
                   workers=workers)
         assert blas_threads() == 2
+
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        """By default price and path_contributions run a pool of one thread
+        per usable CPU over the chunks, not the helper, and change no bit."""
+        model, spec = load_config("table4_d3", steps=4)
+        n = 2 * CHUNK + 1
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+        by_default = price(model, spec, n, seed=7).to_dict()
+        pooled = path_contributions(model, spec, n, seed=7)
+        assert pools == [3, 3]
+        for workers in (1, 2):
+            assert price(model, spec, n, seed=7, workers=workers).to_dict() == by_default
+        assert pools == [3, 3, 1, 2]  # the helper, then a pool of two
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
+        alone = path_contributions(model, spec, n, seed=7)
+        assert pools == [3, 3, 1, 2]
+        assert pooled.keys() == alone.keys()
+        for name in alone:
+            assert pooled[name].tobytes() == alone[name].tobytes(), name
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_thread_outlives_price(self, workers):

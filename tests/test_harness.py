@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 
 import pytest
 
@@ -157,7 +158,8 @@ class TestRunSweep:
             assert float(q_upper["std_error"]) == report.q_upper.std_error
             assert float(rows[(m, "ci_low")]["mean"]) == report.ci[0]
 
-    def test_workers_default_to_the_usable_cpus(self, monkeypatch):
+    def test_workers_pass_through_to_price(self, monkeypatch):
+        """price alone resolves the default worker count."""
         counts = []
         price = harness.price
 
@@ -166,10 +168,9 @@ class TestRunSweep:
             return price(*args, **kwargs)
 
         monkeypatch.setattr(harness, "price", counting_price)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         spec = SweepSpec(config="table2", m_values=(1,), n_paths=3000, seed=5)
         assert run_sweep(spec)[1] == run_sweep(spec, workers=1)[1]
-        assert counts == [3, 1]
+        assert counts == [None, 1]
 
     def test_rows_flushed_after_each_m(self):
         """Each M's rows reach the stream, flushed, before the next M is priced."""
@@ -220,6 +221,33 @@ class TestReadSweepCsv:
         write_csv(path, bracket_rows({1: 0.5}) + bracket_rows({1: 0.5}, config="other"))
         with pytest.raises(ValueError, match="configs"):
             fit_from_csv(path)
+
+    @pytest.mark.parametrize("row, where", [
+        ("synthetic,1,q_upper,1.5", "column std_error: missing"),
+        ("synthetic,1,q_upper", "column mean: missing"),
+        ("synthetic,1,q_upper,1.5,1e-9,x", "more than 5 fields"),
+        ("synthetic,1,q_upper,abc,1e-9", "column mean: expected a finite number, got 'abc'"),
+        ("synthetic,1,q_upper,nan,1e-9", "column mean: expected a finite number, got 'nan'"),
+        ("synthetic,1,q_upper,inf,1e-9", "column mean: expected a finite number, got 'inf'"),
+        ("synthetic,1,q_upper,1.5,-inf", "column std_error: expected a finite number"),
+        ("synthetic,1.5,q_upper,1.5,1e-9", "column m: expected a positive integer, got '1.5'"),
+        ("synthetic,0,q_upper,1.5,1e-9", "column m: expected a positive integer, got '0'"),
+    ], ids=["no-std-error", "no-mean", "extra-field", "text-mean", "nan-mean", "inf-mean",
+            "inf-std-error", "fractional-m", "zero-m"])
+    def test_rejects_a_malformed_row(self, tmp_path, row, where):
+        """The error names the file, the line and the column."""
+        path = tmp_path / "bad.csv"
+        write_csv(path, bracket_rows({m: math.exp(-0.5 * m) for m in (1, 2, 4)}))
+        with path.open("a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ModelError, match=f"^{re.escape(str(path))}, line 8(, |: ){where}"):
+            fit_from_csv(path)
+
+    def test_empty_std_error_reads_as_zero(self, tmp_path):
+        path = tmp_path / "ci.csv"
+        gaps = {m: math.exp(-0.5 * m) for m in (1, 2, 4)}
+        write_csv(path, [row[:4] + ("",) for row in bracket_rows(gaps)])
+        assert fit_from_csv(path).m_used == (1, 2, 4)
 
 
 class TestFitFromCsv:

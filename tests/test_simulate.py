@@ -561,7 +561,8 @@ class TestDrawAhead:
     @pytest.mark.parametrize("cfg, knock, rebate", DRAW_AHEAD_CASES)
     def test_price_and_contributions_keep_every_bit(self, cfg, knock, rebate, monkeypatch):
         """price with one worker draws ahead on a helper, with two workers it
-        does not; path_contributions draws ahead unless one CPU is usable."""
+        does not; path_contributions prices its two chunks on a pool of the
+        usable CPUs, or alone where one CPU is usable."""
         model, spec = _draw_ahead_contract(cfg, knock, rebate)
         n = CHUNK + 1
         threads = set()
@@ -579,15 +580,15 @@ class TestDrawAhead:
         assert price(model, spec, n, seed=7, workers=1).to_dict() == pooled
         assert threads == {True, False}  # the helper drew, and so did the walk
         threads.clear()
-        helped = path_contributions(model, spec, n, seed=7)
-        assert threads == {True, False}
+        pooled_columns = path_contributions(model, spec, n, seed=7)
+        assert threads == {False}
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
         threads.clear()
         alone = path_contributions(model, spec, n, seed=7)
         assert threads == {True}
-        assert helped.keys() == alone.keys()
+        assert pooled_columns.keys() == alone.keys()
         for name in alone:
-            assert helped[name].tobytes() == alone[name].tobytes(), name
+            assert pooled_columns[name].tobytes() == alone[name].tobytes(), name
 
 
 @functools.cache
